@@ -19,7 +19,7 @@ pub const SERVE_REL_TOL: f64 = 1e-3;
 /// checkpoints of the generated jobs fit, more than the 256 distinct jobs
 /// repeats are drawn from, so most repeats hit.
 pub const CACHE_BYTES: usize = 8 << 20;
-/// Completions per block when `wall_s` is taken over blocks of jobs.
+/// Completions per block when `cpu_ms_per_job` is taken over blocks of jobs.
 pub const BLOCK_JOBS: usize = 500;
 
 /// The job configuration of every `serve` and `remote` lane.
@@ -345,10 +345,46 @@ impl JobTotals {
     }
 }
 
+/// Process CPU time and wall time of every build of a workload's stack.
+#[derive(Default)]
+pub struct SetupTimes {
+    cpu_s: Vec<f64>,
+    wall_s: Vec<f64>,
+}
+
+impl SetupTimes {
+    /// Run `build`, recording its CPU and wall time.
+    pub fn time<T>(&mut self, build: impl FnOnce() -> T) -> T {
+        let (c0, t0) = (cpu_seconds(), Instant::now());
+        let built = build();
+        self.wall_s.push(t0.elapsed().as_secs_f64());
+        self.cpu_s.push(cpu_seconds() - c0);
+        built
+    }
+
+    /// Set `setup_s` to the median CPU time of the builds and print the
+    /// median wall time beside it.  CPU time, because the wall time of a
+    /// warm-up that keeps two lanes busy depends on where five threads land
+    /// on two cores: its median moved by 40% between two sets of runs of
+    /// the same code.
+    pub fn set(&self, m: &mut crate::report::Metrics) {
+        m.set("setup_s", stats::median(&self.cpu_s));
+        println!(
+            "# setup wall time = {} s (median of {} builds, as measured; not gated)",
+            stats::median(&self.wall_s),
+            self.wall_s.len()
+        );
+    }
+}
+
 /// The time-based end-to-end figures of one segment.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SegmentE2e {
-    pub wall_s: f64,
+    /// Samples of process CPU time per completed job, in ms: one per pass
+    /// (`solve`), per block of [`BLOCK_JOBS`] completions (`serve`) or per
+    /// segment (`remote`).
+    pub cpu_ms: Vec<f64>,
+    /// Completed jobs per second of wall time; printed, not gated.
     pub jobs_per_s: f64,
     pub latency_p50_ms: f64,
     pub tail: stats::Tail,
@@ -356,10 +392,10 @@ pub struct SegmentE2e {
 
 impl SegmentE2e {
     /// A segment's figures; `latencies_ms` is its latency sample.
-    pub fn new(wall_s: f64, jobs_per_s: f64, mut latencies_ms: Vec<f64>) -> Self {
+    pub fn new(cpu_ms: Vec<f64>, jobs_per_s: f64, mut latencies_ms: Vec<f64>) -> Self {
         stats::sort(&mut latencies_ms);
         Self {
-            wall_s,
+            cpu_ms,
             jobs_per_s,
             latency_p50_ms: stats::percentile_sorted(&latencies_ms, 50.0),
             tail: stats::tail_sorted(&latencies_ms),
@@ -367,32 +403,40 @@ impl SegmentE2e {
     }
 }
 
-/// Set `wall_s`, `jobs_per_s`, `latency_p50_ms` and `latency_tail_ms` to
-/// their medians over the segments, and describe the tail's percentile and
-/// sample counts.
+/// Set `cpu_ms_per_job` to the median of every segment's CPU samples
+/// together, and describe what is printed but not gated: the median
+/// latency and the latency tail (each the median over the segments; the
+/// tail with each segment's percentile and sample counts) and the
+/// wall-clock throughput.
 pub fn set_e2e(m: &mut crate::report::Metrics, segs: &[SegmentE2e]) -> String {
     let pick =
         |f: &dyn Fn(&SegmentE2e) -> f64| stats::median(&segs.iter().map(f).collect::<Vec<_>>());
-    m.set("wall_s", pick(&|s| s.wall_s));
-    m.set("jobs_per_s", pick(&|s| s.jobs_per_s));
-    m.set("latency_p50_ms", pick(&|s| s.latency_p50_ms));
-    m.set("latency_tail_ms", pick(&|s| s.tail.value));
+    let cpu: Vec<f64> = segs.iter().flat_map(|s| s.cpu_ms.iter().copied()).collect();
+    m.set("cpu_ms_per_job", stats::median(&cpu));
     let tails: Vec<String> = segs
         .iter()
         .map(|s| {
             format!(
-                "p{} of {} ({} beyond)",
-                s.tail.percentile, s.tail.count, s.tail.beyond
+                "p{} of {} ({} beyond) = {:.4} ms",
+                s.tail.percentile, s.tail.count, s.tail.beyond, s.tail.value
             )
         })
+        .collect();
+    let p50s: Vec<String> = segs
+        .iter()
+        .map(|s| format!("{:.4}", s.latency_p50_ms))
         .collect();
     let rates: Vec<String> = segs
         .iter()
         .map(|s| format!("{:.4}", s.jobs_per_s))
         .collect();
     format!(
-        "latency tail = median over segments of: {}\n# jobs_per_s by segment: {}",
+        "latency_p50_ms = {} ms (as measured; not gated), the median over segments of: {}\n# latency_tail_ms = {} ms (as measured; not gated), the median over segments of: {}\n# cpu_ms_per_job = median of {} samples\n# wall-clock jobs_per_s by segment: {}",
+        pick(&|s| s.latency_p50_ms),
+        p50s.join(" "),
+        pick(&|s| s.tail.value),
         tails.join(", "),
+        cpu.len(),
         rates.join(" ")
     )
 }
@@ -402,7 +446,12 @@ pub fn set_e2e(m: &mut crate::report::Metrics, segs: &[SegmentE2e]) -> String {
 /// bookkeeping into `peak_rss_mb`).
 #[derive(Default)]
 pub struct RunAcc {
-    pub setups: Vec<f64>,
+    pub setups: SetupTimes,
+    /// Peak resident memory (`VmHWM`) in MiB at a fixed point of the first
+    /// segment, before any answer is checked: the stack, its warm-up and a
+    /// fixed number of jobs, but none of the benchmark's own verification
+    /// and no records whose count depends on the host's speed.
+    pub peak_rss_mib: f64,
     pub segs: Vec<SegmentE2e>,
     pub tally: Tally,
     pub errors: Vec<String>,
@@ -600,22 +649,39 @@ pub fn profile_diff(before: &ProfileSnapshot, after: &ProfileSnapshot) -> Kernel
     b
 }
 
-/// Median time of blocks of [`BLOCK_JOBS`] consecutive completions, from
-/// `start`; with fewer completions than one block, the whole phase.
-pub fn block_wall_s(start: Instant, completions: &mut [Instant]) -> f64 {
-    completions.sort_unstable();
-    let mut blocks = Vec::new();
-    let mut from = start;
-    for chunk in completions.chunks_exact(BLOCK_JOBS) {
-        let end = chunk[BLOCK_JOBS - 1];
-        blocks.push(end.saturating_duration_since(from).as_secs_f64());
-        from = end;
+/// CPU time used so far by this process (all its threads) or by the calling
+/// thread, in seconds.  The kernel charges only time a thread actually ran,
+/// so waiting for a processor held by another process (or, under a
+/// hypervisor with steal-time accounting, by another guest) is not counted.
+fn cpu_clock_seconds(clock: i32) -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
     }
-    if blocks.is_empty() {
-        let end = completions.last().copied().unwrap_or(start);
-        return end.saturating_duration_since(start).as_secs_f64();
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
     }
-    stats::median(&blocks)
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `struct timespec` (two 64-bit fields
+    // on 64-bit Linux) and the clock id is a valid constant; the call writes
+    // only through the pointer it is given.
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// CPU time of the whole process (`CLOCK_PROCESS_CPUTIME_ID`).
+pub fn cpu_seconds() -> f64 {
+    cpu_clock_seconds(2)
+}
+
+/// CPU time of the calling thread (`CLOCK_THREAD_CPUTIME_ID`).
+pub fn thread_cpu_seconds() -> f64 {
+    cpu_clock_seconds(3)
 }
 
 /// Median per-frame encode and decode time (µs) and mean frame size (bytes)

@@ -12,6 +12,7 @@
 
 mod common;
 mod gen;
+mod hostspeed;
 mod probe;
 mod remote;
 mod report;
@@ -24,14 +25,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use common::{JobTotals, KernelBuckets, SegmentE2e, WireTiming};
+use hostspeed::HostSpeed;
 use report::Metrics;
 use trace::Tracer;
 
-/// Segments per run.  Each segment builds a fresh stack (one `setup_s`
-/// sample) and measures for `--seconds / SEGMENTS`; time-based end-to-end
-/// metrics are medians over segments, so one segment that lands on a slow
-/// stretch of a shared host, or on an unlucky thread placement, does not move
-/// the run's figure.
+/// Stacks built per run, each one `setup_s` sample.  `serve` and `remote`
+/// measure each stack for `--seconds / SEGMENTS` (a segment) and take their
+/// latency figures as medians over the segments; `solve` measures on the
+/// last stack it builds.
 pub const SEGMENTS: usize = 5;
 
 /// Command-line arguments.
@@ -125,14 +126,26 @@ pub fn set_computed_job_metrics(m: &mut Metrics, kernels: &KernelBuckets, t: &Jo
     m.set("service.run_ms", common::median_or_zero(&t.run_ms));
 }
 
-/// `trace.overhead_frac`: traced `wall_s` (median over the traced segments)
-/// ÷ untraced `wall_s` − 1.
-pub fn set_trace_overhead(m: &mut Metrics, untraced: &Metrics, traced: &[SegmentE2e]) {
-    let traced_wall = stats::median(&traced.iter().map(|s| s.wall_s).collect::<Vec<_>>());
+/// `trace.overhead_frac`: traced `cpu_ms_per_job` (median of the traced
+/// segments' samples, scaled by the traced run's own host speed) ÷ untraced
+/// `cpu_ms_per_job` (already scaled) − 1.
+pub fn set_trace_overhead(
+    m: &mut Metrics,
+    untraced: &Metrics,
+    traced: &[SegmentE2e],
+    speed: &HostSpeed,
+) {
+    let cpu: Vec<f64> = traced
+        .iter()
+        .flat_map(|s| s.cpu_ms.iter().copied())
+        .collect();
     let plain = untraced
-        .get("wall_s")
+        .get("cpu_ms_per_job")
         .expect("end-to-end metrics are set first");
-    m.set("trace.overhead_frac", traced_wall / plain - 1.0);
+    m.set(
+        "trace.overhead_frac",
+        stats::median(&cpu) * speed.factor() / plain - 1.0,
+    );
 }
 
 pub fn set_wire_metrics(m: &mut Metrics, w: &WireTiming) {
@@ -142,11 +155,12 @@ pub fn set_wire_metrics(m: &mut Metrics, w: &WireTiming) {
     m.set("wire.done_bytes", w.done_bytes);
 }
 
-/// One `solve` pass at one worker thread against `tn`, the pass time at
-/// `nproc` threads: efficiency t₁ ÷ (nproc · tₙ).
-pub fn set_scaling(m: &mut Metrics, tn: f64) {
-    let t1 = solve::one_pass_seconds(1);
+/// One `solve` pass on a fresh device at one worker thread and at `nproc`:
+/// efficiency t₁ ÷ (nproc · tₙ).
+pub fn set_scaling(m: &mut Metrics) {
     let nproc = common::nproc();
+    let t1 = solve::one_pass_seconds(1);
+    let tn = solve::one_pass_seconds(nproc);
     m.set("solve.single_thread_s", t1);
     m.set("solve.nproc_s", tn);
     m.set("device.scaling_eff", t1 / (nproc as f64 * tn));

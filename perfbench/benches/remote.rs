@@ -14,6 +14,7 @@ use pagani::prelude::*;
 
 use crate::common::{self, KernelBuckets, Outcome as JobOutcome, Record, RunAcc, SegmentE2e};
 use crate::gen::{stream_seed, Generator, Integrands, JobSpec};
+use crate::hostspeed::HostSpeed;
 use crate::report::{self, Metrics};
 use crate::stats;
 use crate::trace::Tracer;
@@ -93,6 +94,8 @@ pub struct Phase {
     specs: Vec<JobSpec>,
     records: Vec<Record>,
     start: Instant,
+    /// Process CPU time of the closed loop, in seconds.
+    cpu_s: f64,
     kernels: KernelBuckets,
     front_before: ServiceMetrics,
     front_after: ServiceMetrics,
@@ -102,10 +105,14 @@ pub struct Phase {
 
 impl Phase {
     fn e2e(&self) -> SegmentE2e {
-        let mut completions: Vec<Instant> = self.records.iter().map(|r| r.completed).collect();
-        let last = completions.iter().copied().max().unwrap_or(self.start);
+        let last = self
+            .records
+            .iter()
+            .map(|r| r.completed)
+            .max()
+            .unwrap_or(self.start);
         SegmentE2e::new(
-            common::block_wall_s(self.start, &mut completions),
+            vec![self.cpu_s * 1e3 / self.records.len().max(1) as f64],
             self.records.len() as f64 / last.saturating_duration_since(self.start).as_secs_f64(),
             self.records
                 .iter()
@@ -176,6 +183,7 @@ fn run_phase(
     let before = stack.worker_metrics();
     let profiles: Vec<_> = stack.devices.iter().map(common::profile_snapshot).collect();
     let gen = Mutex::new(gen);
+    let cpu0 = common::cpu_seconds();
     let start = Instant::now();
     let end = start + Duration::from_secs_f64(seconds);
     let mut records: Vec<Record> = std::thread::scope(|scope| {
@@ -187,6 +195,7 @@ fn run_phase(
             .flat_map(|c| c.join().expect("a client thread panicked"))
             .collect()
     });
+    let cpu_s = common::cpu_seconds() - cpu0;
     records.sort_by_key(|r| r.index);
     let kernels = stack.devices.iter().zip(&profiles).fold(
         KernelBuckets::default(),
@@ -202,6 +211,7 @@ fn run_phase(
             .into_emitted(),
         records,
         start,
+        cpu_s,
         kernels,
         front_before,
         front_after: stack.front.metrics(),
@@ -217,16 +227,27 @@ fn ms(d: Duration) -> f64 {
 /// Run `SEGMENTS` segments, each on a freshly built stack (one `setup_s`
 /// sample) for `--seconds / SEGMENTS`, checking every answer and folding
 /// each segment into the run's totals before dropping its records.
-fn measure(args: &Args, integrands: &Integrands, tracer: &Tracer) -> Result<RunAcc, String> {
+fn measure(
+    args: &Args,
+    integrands: &Integrands,
+    tracer: &Tracer,
+    speed: &mut HostSpeed,
+) -> Result<RunAcc, String> {
     let mut acc = RunAcc::default();
+    speed.sample(3);
     let tol = common::serve_config().tolerances;
     for k in 0..SEGMENTS {
-        let t0 = Instant::now();
-        let stack = build(stream_seed(args.seed, WARMUP_STREAM + k as u64), integrands)?;
-        acc.setups.push(t0.elapsed().as_secs_f64());
+        let stack = acc
+            .setups
+            .time(|| build(stream_seed(args.seed, WARMUP_STREAM + k as u64), integrands))?;
+        speed.sample(3);
         let gen = Generator::new(stream_seed(args.seed, k as u64), 0.0);
         let seconds = args.seconds / SEGMENTS as f64;
         let phase = run_phase(&stack, gen, integrands, seconds, tracer, (k as u64) << 32);
+        if k == 0 {
+            acc.peak_rss_mib = report::peak_rss_mib()?;
+        }
+        speed.sample(3);
         if tracer.enabled() {
             let keys: Vec<_> = phase
                 .records
@@ -275,6 +296,7 @@ fn measure(args: &Args, integrands: &Integrands, tracer: &Tracer) -> Result<RunA
             &phase.before,
             &phase.after,
         );
+        speed.sample(3);
     }
     Ok(acc)
 }
@@ -289,12 +311,14 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         common::CACHE_BYTES
     );
     let integrands = Integrands::new();
-    let acc = measure(args, &integrands, &Tracer::new(false))?;
+    let mut speed = HostSpeed::new();
+    let acc = measure(args, &integrands, &Tracer::new(false), &mut speed)?;
     let mut m = Metrics::default();
-    m.set("setup_s", stats::median(&acc.setups));
+    acc.setups.set(&mut m);
     let tail = common::set_e2e(&mut m, &acc.segs);
     m.set("ok_frac", 1.0 - acc.tally.failed_frac());
-    m.set("peak_rss_mb", report::peak_rss_mib()?);
+    m.set("peak_rss_mb", acc.peak_rss_mib);
+    speed.scale(&mut m, &["setup_s", "cpu_ms_per_job"]);
     let t = &acc.tally;
     println!("# mix: {}", acc.mix);
     println!(
@@ -322,7 +346,8 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 
 fn traced(args: &Args, outcome: &mut Outcome, integrands: &Integrands) -> Result<(), String> {
     let tracer = Tracer::new(true);
-    let acc = measure(args, integrands, &tracer)?;
+    let mut speed = HostSpeed::new();
+    let acc = measure(args, integrands, &tracer, &mut speed)?;
     outcome
         .errors
         .extend(acc.errors.iter().map(|e| format!("traced: {e}")));
@@ -374,7 +399,7 @@ fn traced(args: &Args, outcome: &mut Outcome, integrands: &Integrands) -> Result
     m.set("remote.heartbeats", front("remote_heartbeats") as f64);
     m.set("jobs.failed_frac", acc.tally.failed_frac());
     m.set("jobs.unconverged", acc.tally.unconverged as f64);
-    crate::set_trace_overhead(m, &outcome.e2e, &acc.segs);
+    crate::set_trace_overhead(m, &outcome.e2e, &acc.segs, &speed);
     crate::set_wire_metrics(
         m,
         &common::time_wire(&acc.wire_jobs, &acc.wire_answers, &tracer)?,
@@ -383,6 +408,6 @@ fn traced(args: &Args, outcome: &mut Outcome, integrands: &Integrands) -> Result
     // No job repeats, so hits are timed on the probe lane.
     probe.fill_hit_latency(m);
     probe.fill_overhead(m);
-    crate::set_scaling(m, crate::solve::one_pass_seconds(common::nproc()));
+    crate::set_scaling(m);
     crate::finish_trace(args, &tracer, m)
 }

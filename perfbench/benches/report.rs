@@ -6,12 +6,9 @@
 use std::collections::BTreeMap;
 
 /// End-to-end metrics, printed by every untraced run of every workload.
-pub const END_TO_END: [(&str, &str); 7] = [
+pub const END_TO_END: [(&str, &str); 4] = [
     ("setup_s", "s"),
-    ("wall_s", "s"),
-    ("jobs_per_s", "1/s"),
-    ("latency_p50_ms", "ms"),
-    ("latency_tail_ms", "ms"),
+    ("cpu_ms_per_job", "ms"),
     ("ok_frac", "1"),
     ("peak_rss_mb", "MiB"),
 ];
@@ -211,7 +208,7 @@ mod tests {
         );
         assert!(line.contains("\"setup_s\": {\"value\": 0.25, \"unit\": \"s\"}"));
         assert!(!line.contains("kernel"));
-        m.set("wall_s", f64::NAN);
+        m.set("cpu_ms_per_job", f64::NAN);
         assert!(result_line(true, 3, 0, &m, &END_TO_END).is_err());
     }
 }

@@ -8,11 +8,13 @@
 //! * **open loop** at a fixed rate below capacity — latency is timed from
 //!   when each job was *due*, so a stall also charges the jobs queued behind
 //!   it, and the generator reports how late it ran;
-//! * **saturation** — a window of jobs kept in flight — gives throughput.
+//! * **saturation** — a window of jobs kept in flight — gives the process
+//!   CPU time per completed job, one sample per block of completions.
 //!
 //! One thread generates the load and observes completions, polling the
-//! in-flight handles in the open loop and blocking on the oldest in the
-//! saturation part (whose completion times are not used for latency).
+//! in-flight handles without sleeping in the open loop and blocking on the
+//! oldest in the saturation part (whose completion times are not used for
+//! latency).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,7 +23,8 @@ use std::time::{Duration, Instant};
 use pagani::prelude::*;
 
 use crate::common::{self, KernelBuckets, Outcome as JobOutcome, Record, RunAcc, SegmentE2e};
-use crate::gen::{stream_seed, Generator, Integrands, JobSpec, Rng};
+use crate::gen::{stream_seed, Generator, Integrands, JobSpec};
+use crate::hostspeed::HostSpeed;
 use crate::report::{self, Metrics};
 use crate::stats;
 use crate::trace::Tracer;
@@ -40,12 +43,6 @@ const OPEN_RATE: f64 = 300.0;
 const OPEN_JOBS: usize = 840;
 /// Jobs kept in flight in the saturation part (four per lane).
 const WINDOW: usize = 8;
-/// Open-loop completion polling: every 150–350 µs, the interval drawn afresh
-/// for every sleep.  Polling every 50 µs took enough CPU from the lanes to
-/// double the latency tail in some runs; a fixed 250 µs interval
-/// phase-locked the polls to the submission grid and quantized the median.
-const POLL_MIN_US: u64 = 150;
-const POLL_SPREAD_US: usize = 200;
 /// Warm-up jobs run through every freshly built stack: enough distinct jobs
 /// to fill the cache's byte budget, so the measured phases see the cache in
 /// its steady state (full, evicting) from the first job.
@@ -168,6 +165,11 @@ pub struct Phase {
     open: Vec<Record>,
     sat: Vec<Record>,
     sat_start: Instant,
+    /// Process CPU time per job of each block of [`common::BLOCK_JOBS`]
+    /// saturation completions, in ms.
+    sat_cpu_ms: Vec<f64>,
+    /// Peak resident memory when the open loop ended, in MiB.
+    open_rss_mib: f64,
     kernels: KernelBuckets,
     before: Vec<ServiceMetrics>,
     after: Vec<ServiceMetrics>,
@@ -179,10 +181,14 @@ impl Phase {
     }
 
     fn e2e(&self) -> SegmentE2e {
-        let mut completions: Vec<Instant> = self.sat.iter().map(|r| r.completed).collect();
-        let last = completions.iter().copied().max().unwrap_or(self.sat_start);
+        let last = self
+            .sat
+            .iter()
+            .map(|r| r.completed)
+            .max()
+            .unwrap_or(self.sat_start);
         SegmentE2e::new(
-            common::block_wall_s(self.sat_start, &mut completions),
+            self.sat_cpu_ms.clone(),
             self.sat.len() as f64 / last.saturating_duration_since(self.sat_start).as_secs_f64(),
             self.open.iter().map(|r| ms(r.latency())).collect(),
         )
@@ -196,6 +202,7 @@ fn run_phase(
     seconds: f64,
     tracer: &Tracer,
     id_base: u64,
+    speed: &mut HostSpeed,
 ) -> Phase {
     let before = stack.service.metrics();
     let profiles: Vec<_> = stack.devices.iter().map(common::profile_snapshot).collect();
@@ -212,7 +219,6 @@ fn run_phase(
     let period = Duration::from_secs_f64(1.0 / OPEN_RATE);
     let mut open = Vec::with_capacity(n_open);
     let mut inflight: Vec<Pending> = Vec::new();
-    let mut poll_rng = Rng::new(id_base);
     let t0 = Instant::now();
     let mut next = 0;
     while next < n_open || !inflight.is_empty() {
@@ -243,27 +249,34 @@ fn run_phase(
                 i += 1;
             }
         }
-        // Poll while jobs are in flight; otherwise sleep until the next one
-        // is due, so the generator takes no CPU from the lanes when idle.
-        let due = t0 + period * next as u32;
-        let poll = now + Duration::from_micros(POLL_MIN_US + poll_rng.below(POLL_SPREAD_US) as u64);
-        let wake = match (inflight.is_empty(), next < n_open) {
-            (true, true) => due,
-            (false, true) => due.min(poll),
-            (_, false) => poll,
-        };
-        if let Some(nap) = wake.checked_duration_since(Instant::now()) {
-            std::thread::sleep(nap);
+        // While jobs are in flight, poll again at once, yielding the core to
+        // any runnable lane thread: a completion is seen when it happens.
+        // With sleeps of 150–350 µs between polls the median read 40%
+        // higher, and spread by a third over five runs of the same code on a
+        // shared host.  With nothing in flight, sleep until the next job is
+        // due.
+        if inflight.is_empty() {
+            let due = t0 + period * next as u32;
+            if let Some(nap) = due.checked_duration_since(Instant::now()) {
+                std::thread::sleep(nap);
+            }
+        } else {
+            std::thread::yield_now();
         }
     }
+
+    let open_rss_mib = report::peak_rss_mib().unwrap_or(f64::NAN);
+    speed.sample(3);
 
     // Saturation: keep WINDOW jobs in flight; a job is due when its slot frees.
     let sat_start = Instant::now();
     let saturate = (seconds - OPEN_JOBS as f64 / OPEN_RATE).max(0.3 * seconds);
     let end = sat_start + Duration::from_secs_f64(saturate);
     let mut sat = Vec::new();
+    let mut sat_cpu_ms = Vec::new();
     let mut window: VecDeque<Pending> = VecDeque::with_capacity(WINDOW);
     let mut free_at = sat_start;
+    let mut block_cpu = common::cpu_seconds();
     loop {
         while window.len() < WINDOW && Instant::now() < end {
             let p = lg.submit(free_at);
@@ -279,6 +292,15 @@ fn run_phase(
         let record = lg.complete(oldest, None);
         free_at = record.completed;
         sat.push(record);
+        if sat.len() % common::BLOCK_JOBS == 0 {
+            let cpu = common::cpu_seconds();
+            sat_cpu_ms.push((cpu - block_cpu) * 1e3 / common::BLOCK_JOBS as f64);
+            block_cpu = cpu;
+        }
+    }
+    // A saturation part too short for one block is one sample of its own.
+    if sat_cpu_ms.is_empty() && !sat.is_empty() {
+        sat_cpu_ms.push((common::cpu_seconds() - block_cpu) * 1e3 / sat.len() as f64);
     }
     let kernels = stack.devices.iter().zip(&profiles).fold(
         KernelBuckets::default(),
@@ -292,6 +314,8 @@ fn run_phase(
         open,
         sat,
         sat_start,
+        sat_cpu_ms,
+        open_rss_mib,
         kernels,
         before,
         after: stack.service.metrics(),
@@ -305,16 +329,33 @@ fn ms(d: Duration) -> f64 {
 /// Run `SEGMENTS` segments, each on a freshly built stack (one `setup_s`
 /// sample) for `--seconds / SEGMENTS`, checking every answer and folding
 /// each segment into the run's totals before dropping its records.
-fn measure(args: &Args, integrands: &Integrands, tracer: &Tracer) -> RunAcc {
+/// The host-speed kernel is timed three times at the start and in every gap
+/// between a segment's phases, so its median spans the run as the
+/// measurements do.
+fn measure(args: &Args, integrands: &Integrands, tracer: &Tracer, speed: &mut HostSpeed) -> RunAcc {
     let mut acc = RunAcc::default();
+    speed.sample(3);
     let tol = common::serve_config().tolerances;
     for k in 0..SEGMENTS {
-        let t0 = Instant::now();
-        let stack = build(stream_seed(args.seed, WARMUP_STREAM + k as u64), integrands);
-        acc.setups.push(t0.elapsed().as_secs_f64());
+        let stack = acc
+            .setups
+            .time(|| build(stream_seed(args.seed, WARMUP_STREAM + k as u64), integrands));
+        speed.sample(3);
         let gen = Generator::new(stream_seed(args.seed, k as u64), REPEAT_SHARE);
         let seconds = args.seconds / SEGMENTS as f64;
-        let phase = run_phase(&stack, gen, integrands, seconds, tracer, (k as u64) << 32);
+        let phase = run_phase(
+            &stack,
+            gen,
+            integrands,
+            seconds,
+            tracer,
+            (k as u64) << 32,
+            speed,
+        );
+        if k == 0 {
+            acc.peak_rss_mib = phase.open_rss_mib;
+        }
+        speed.sample(3);
         let records = phase.records();
         if tracer.enabled() {
             let mut keys: Vec<_> = records
@@ -356,6 +397,7 @@ fn measure(args: &Args, integrands: &Integrands, tracer: &Tracer) -> RunAcc {
             &phase.before,
             &phase.after,
         );
+        speed.sample(3);
     }
     acc
 }
@@ -370,12 +412,14 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         common::CACHE_BYTES
     );
     let integrands = Integrands::new();
-    let acc = measure(args, &integrands, &Tracer::new(false));
+    let mut speed = HostSpeed::new();
+    let acc = measure(args, &integrands, &Tracer::new(false), &mut speed);
     let mut m = Metrics::default();
-    m.set("setup_s", stats::median(&acc.setups));
+    acc.setups.set(&mut m);
     let tail = common::set_e2e(&mut m, &acc.segs);
     m.set("ok_frac", 1.0 - acc.tally.failed_frac());
-    m.set("peak_rss_mb", report::peak_rss_mib()?);
+    m.set("peak_rss_mb", acc.peak_rss_mib);
+    speed.scale(&mut m, &["setup_s", "cpu_ms_per_job"]);
     let t = &acc.tally;
     println!("# mix: {}", acc.mix);
     println!(
@@ -403,7 +447,8 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 
 fn traced(args: &Args, outcome: &mut Outcome, integrands: &Integrands) -> Result<(), String> {
     let tracer = Tracer::new(true);
-    let acc = measure(args, integrands, &tracer);
+    let mut speed = HostSpeed::new();
+    let acc = measure(args, integrands, &tracer, &mut speed);
     outcome
         .errors
         .extend(acc.errors.iter().map(|e| format!("traced: {e}")));
@@ -443,7 +488,7 @@ fn traced(args: &Args, outcome: &mut Outcome, integrands: &Integrands) -> Result
     m.set("cache.evals_saved", acc.counter("evals_saved") as f64);
     m.set("jobs.failed_frac", acc.tally.failed_frac());
     m.set("jobs.unconverged", acc.tally.unconverged as f64);
-    crate::set_trace_overhead(m, &outcome.e2e, &acc.segs);
+    crate::set_trace_overhead(m, &outcome.e2e, &acc.segs, &speed);
     crate::set_wire_metrics(
         m,
         &common::time_wire(&acc.wire_jobs, &acc.wire_answers, &tracer)?,
@@ -456,6 +501,6 @@ fn traced(args: &Args, outcome: &mut Outcome, integrands: &Integrands) -> Result
     }
     probe.fill_remote(m);
     probe.fill_overhead(m);
-    crate::set_scaling(m, crate::solve::one_pass_seconds(common::nproc()));
+    crate::set_scaling(m);
     crate::finish_trace(args, &tracer, m)
 }

@@ -1,24 +1,39 @@
 //! `solve`: the paper's own measurement — time to solution of a fixed list of
-//! heavy paper-suite jobs, one at a time through plain `Pagani::integrate` on
-//! one `v100_like` device with `worker_threads = nproc`.
+//! paper-suite jobs, one at a time through plain `Pagani::integrate` on one
+//! `v100_like` device with [`SOLVE_THREADS`] worker thread.
 
 use std::time::Instant;
 
 use pagani::prelude::*;
 
-use crate::common::{self, KernelBuckets, SegmentE2e};
+use crate::common::{self, KernelBuckets, SegmentE2e, SetupTimes};
 use crate::gen::paper_integrand;
+use crate::hostspeed::HostSpeed;
 use crate::report::{self, Metrics};
 use crate::stats;
 use crate::trace::Tracer;
 use crate::{Args, Outcome, SEGMENTS};
 
-/// `(family, dim, digits)` of each job of one pass, in pass order.  The order
-/// is fixed, so every pass allocates in the same sequence and `peak_rss_mb`
-/// does not depend on it.
-pub const SOLVE_LIST: [(u8, usize, f64); 4] = [(4, 5, 5.0), (3, 8, 3.0), (5, 5, 4.0), (6, 6, 3.0)];
-/// Each segment measures at least this many passes.
-const MIN_PASSES: usize = 1;
+/// `(family, dim, digits)` of each job of one pass, in pass order.  Five jobs
+/// of distinct cost (1 to 11 iterations, tens to a couple of hundred ms each
+/// at one thread), so the pass-pooled median and p90 fall inside one job's
+/// spread rather than on the gap between two jobs.  The order is fixed, so
+/// every pass allocates in the same sequence.
+pub const SOLVE_LIST: [(u8, usize, f64); 5] = [
+    (7, 6, 3.0),
+    (3, 5, 5.0),
+    (4, 5, 3.0),
+    (6, 6, 3.0),
+    (5, 5, 3.0),
+];
+/// Worker threads of the `solve` device.  One, whatever the host: with a
+/// thread per core, every launch waits for its slowest worker, so a core
+/// briefly taken by another tenant of a shared host stalls the whole job.
+/// Scaling to `nproc` threads is a per-layer metric.
+pub const SOLVE_THREADS: usize = 1;
+/// Passes whose jobs form the latency sample: 200 jobs, so the tail is p90
+/// with 20 beyond whatever the speed.  Every run measures at least these.
+const LATENCY_PASSES: usize = 40;
 
 fn integrand(family: u8, dim: usize) -> PaperIntegrand {
     if family == 6 {
@@ -35,8 +50,8 @@ pub struct SolveStack {
 }
 
 /// Build the `solve` stack on a `v100_like` device with `threads` workers and
-/// warm it up with one job of the suite at 3 digits (tens of milliseconds, so
-/// `setup_s` measures more than thread start-up jitter).
+/// warm it up with one job of the suite at 3 digits (about a hundred
+/// milliseconds, so `setup_s` measures more than thread start-up jitter).
 pub fn build(threads: usize) -> SolveStack {
     let device = Device::new(DeviceConfig::v100_like().with_worker_threads(threads));
     let jobs = SOLVE_LIST
@@ -98,48 +113,58 @@ pub fn run_pass(stack: &SolveStack, tracer: &Tracer, first_id: u64) -> (f64, Vec
     (start.elapsed().as_secs_f64(), runs)
 }
 
-/// Passes of one phase: every segment's stack, set-up time and passes.
+/// The set-up times, passes and jobs of one phase.
 #[derive(Default)]
 struct Phase {
-    setups: Vec<f64>,
+    setups: SetupTimes,
+    /// Wall time of each pass.
     passes: Vec<f64>,
+    /// Process CPU time per job of each pass, in ms.
+    cpu_ms: Vec<f64>,
+    /// Peak resident memory after the first [`LATENCY_PASSES`] passes, MiB.
+    peak_rss_mib: f64,
     runs: Vec<JobRun>,
 }
 
 impl Phase {
-    /// Each pass as a measurement of its own: its time, its jobs per second
-    /// and its four job latencies (four samples: the tail rung is the
-    /// maximum, the slowest job of the pass).
-    fn pass_figures(&self) -> Vec<SegmentE2e> {
-        self.passes
-            .iter()
-            .zip(self.runs.chunks(SOLVE_LIST.len()))
-            .map(|(&t, runs)| {
-                SegmentE2e::new(
-                    t,
-                    runs.len() as f64 / t,
-                    runs.iter().map(|r| r.seconds * 1e3).collect(),
-                )
-            })
-            .collect()
+    /// The run's figures: CPU per job of every pass, and the latencies of
+    /// the jobs of the first [`LATENCY_PASSES`] passes.
+    fn figures(&self) -> SegmentE2e {
+        let wall: f64 = self.passes.iter().sum();
+        SegmentE2e::new(
+            self.cpu_ms.clone(),
+            self.runs.len() as f64 / wall,
+            self.runs
+                .iter()
+                .take(LATENCY_PASSES * SOLVE_LIST.len())
+                .map(|r| r.seconds * 1e3)
+                .collect(),
+        )
     }
 }
 
-/// Run `SEGMENTS` segments, each on a freshly built stack (one `setup_s`
-/// sample) for `seconds / SEGMENTS`.
-fn run_phase(seconds: f64, tracer: &Tracer) -> Phase {
+/// Build the stack `SEGMENTS` times (each one `setup_s` sample), then run
+/// passes on the last one for `seconds`, and for at least
+/// [`LATENCY_PASSES`] passes, timing the host-speed kernel after each.
+fn run_phase(seconds: f64, tracer: &Tracer, speed: &mut HostSpeed) -> Phase {
     let mut phase = Phase::default();
+    speed.sample(3);
+    let mut stack = None;
     for _ in 0..SEGMENTS {
-        let t0 = Instant::now();
-        let stack = build(common::nproc());
-        phase.setups.push(t0.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let mut passes = 0;
-        while passes < MIN_PASSES || start.elapsed().as_secs_f64() < seconds / SEGMENTS as f64 {
-            let (t, runs) = run_pass(&stack, tracer, phase.runs.len() as u64);
-            phase.passes.push(t);
-            phase.runs.extend(runs);
-            passes += 1;
+        stack = Some(phase.setups.time(|| build(SOLVE_THREADS)));
+    }
+    let stack = stack.expect("at least one stack is built");
+    let start = Instant::now();
+    while phase.passes.len() < LATENCY_PASSES || start.elapsed().as_secs_f64() < seconds {
+        let cpu0 = common::cpu_seconds();
+        let (t, runs) = run_pass(&stack, tracer, phase.runs.len() as u64);
+        let cpu = common::cpu_seconds() - cpu0;
+        phase.cpu_ms.push(cpu * 1e3 / runs.len() as f64);
+        phase.passes.push(t);
+        phase.runs.extend(runs);
+        speed.sample(1);
+        if phase.passes.len() == LATENCY_PASSES {
+            phase.peak_rss_mib = report::peak_rss_mib().unwrap_or(f64::NAN);
         }
     }
     phase
@@ -196,7 +221,7 @@ pub fn one_pass_seconds(threads: usize) -> f64 {
 pub fn run(args: &Args) -> Result<Outcome, String> {
     let nproc = common::nproc();
     println!(
-        "# fingerprint: workload=solve seed={} nproc={nproc} profile={} device=v100_like worker_threads={nproc} memory_capacity={} lanes=1 service_workers=0",
+        "# fingerprint: workload=solve seed={} nproc={nproc} profile={} device=v100_like worker_threads={SOLVE_THREADS} memory_capacity={} lanes=1 service_workers=0",
         args.seed,
         common::build_profile(),
         DeviceConfig::v100_like().memory_capacity
@@ -211,20 +236,23 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         jobs.join(" ")
     );
 
-    let plain = run_phase(args.seconds, &Tracer::new(false));
+    let mut speed = HostSpeed::new();
+    let plain = run_phase(args.seconds, &Tracer::new(false), &mut speed);
 
     let mut errors = Vec::new();
     let ok = check(&plain, "solve", &mut errors);
     let attempted = plain.runs.len() as u64;
     let mut e2e = Metrics::default();
-    e2e.set("setup_s", stats::median(&plain.setups));
-    let tail = common::set_e2e(&mut e2e, &plain.pass_figures());
+    plain.setups.set(&mut e2e);
+    let tail = common::set_e2e(&mut e2e, std::slice::from_ref(&plain.figures()));
     e2e.set("ok_frac", ok as f64 / attempted as f64);
-    e2e.set("peak_rss_mb", report::peak_rss_mib()?);
+    e2e.set("peak_rss_mb", plain.peak_rss_mib);
+    speed.scale(&mut e2e, &["setup_s", "cpu_ms_per_job"]);
     println!(
-        "# solve: {SEGMENTS} segments, {} passes, {} jobs; pass figures are medians over passes\n# {tail}",
+        "# solve: {SEGMENTS} set-ups, {} passes, {} jobs, latency sample of the first {LATENCY_PASSES} passes\n# wall_s = {} s (time to solution of one pass, median over passes, as measured; not gated)\n# {tail}",
         plain.passes.len(),
         attempted,
+        stats::median(&plain.passes),
     );
     let mut outcome = Outcome {
         e2e,
@@ -242,7 +270,8 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 
 fn traced(args: &Args, outcome: &mut Outcome) -> Result<(), String> {
     let tracer = Tracer::new(true);
-    let phase = run_phase(args.seconds, &tracer);
+    let mut speed = HostSpeed::new();
+    let phase = run_phase(args.seconds, &tracer, &mut speed);
     check(&phase, "solve (traced)", &mut outcome.errors);
     let m = &mut outcome.layer;
     let jobs = phase.runs.len() as f64;
@@ -297,9 +326,11 @@ fn traced(args: &Args, outcome: &mut Outcome) -> Result<(), String> {
         outcome.unconverged as f64 / outcome.attempted as f64,
     );
     m.set("jobs.unconverged", outcome.unconverged as f64);
-    m.set(
-        "trace.overhead_frac",
-        stats::median(&phase.passes) / outcome.e2e.get("wall_s").expect("set above") - 1.0,
+    crate::set_trace_overhead(
+        m,
+        &outcome.e2e,
+        std::slice::from_ref(&phase.figures()),
+        &speed,
     );
 
     let specs: Vec<_> = SOLVE_LIST
@@ -325,7 +356,6 @@ fn traced(args: &Args, outcome: &mut Outcome) -> Result<(), String> {
     probe.fill_cache(m);
     probe.fill_remote(m);
     probe.fill_overhead(m);
-    let tn = outcome.e2e.get("wall_s").expect("set above");
-    crate::set_scaling(m, tn);
+    crate::set_scaling(m);
     crate::finish_trace(args, &tracer, m)
 }
