@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pagani_core::{BatchJob, BatchRunner, DispatchMode, MultiDevicePagani, Pagani, PaganiConfig};
+use pagani_core::{integrate_batch, BatchJob, DispatchMode, Pagani, PaganiConfig, ServiceBuilder};
 use pagani_device::{Device, DeviceConfig};
 use pagani_integrands::paper::PaperIntegrand;
 use pagani_quadrature::{Integrand, Tolerances};
@@ -69,14 +69,16 @@ fn bench_throughput(c: &mut Criterion) {
         })
     });
 
-    let runner = BatchRunner::new(device.clone(), config.clone());
     let jobs: Vec<BatchJob> = workload
         .iter()
         .map(|f| BatchJob::shared(f.clone() as Arc<dyn Integrand + Send + Sync>))
         .collect();
     group.bench_function("batch_16_jobs", |b| {
         b.iter(|| {
-            let total: f64 = runner.run(&jobs).iter().map(|o| o.result.estimate).sum();
+            let total: f64 = integrate_batch(&device, &config, &jobs)
+                .iter()
+                .map(|o| o.result.estimate)
+                .sum();
             black_box(total)
         })
     });
@@ -122,31 +124,29 @@ fn bench_dispatch(c: &mut Criterion) {
     let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
     let jobs = skewed_workload();
 
-    let round_robin = MultiDevicePagani::new(make_devices(), config.clone())
-        .with_dispatch(DispatchMode::RoundRobin);
-    group.bench_function("round_robin_skewed_16_jobs", |b| {
-        b.iter(|| {
-            let total: f64 = round_robin
-                .integrate_batch(&jobs)
-                .iter()
-                .map(|o| o.result.estimate)
-                .sum();
-            black_box(total)
-        })
-    });
-
-    let balanced =
-        MultiDevicePagani::new(make_devices(), config).with_dispatch(DispatchMode::CostBalanced);
-    group.bench_function("cost_balanced_skewed_16_jobs", |b| {
-        b.iter(|| {
-            let total: f64 = balanced
-                .integrate_batch(&jobs)
-                .iter()
-                .map(|o| o.result.estimate)
-                .sum();
-            black_box(total)
-        })
-    });
+    // Each iteration plans and runs the batch on a fresh pool service, so
+    // every plan starts from the same cold cost model.
+    for (name, mode) in [
+        ("round_robin_skewed_16_jobs", DispatchMode::RoundRobin),
+        ("cost_balanced_skewed_16_jobs", DispatchMode::CostBalanced),
+    ] {
+        let devices = make_devices();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let service = ServiceBuilder::new(config.clone())
+                    .devices(devices.iter().cloned())
+                    .dispatch(mode)
+                    .build_multi();
+                let total: f64 = service
+                    .integrate_batch(&jobs)
+                    .iter()
+                    .map(|o| o.result.estimate)
+                    .sum();
+                service.shutdown();
+                black_box(total)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -7,8 +7,8 @@
 //! that constructor zoo: collect devices, a [`ServicePolicy`], a
 //! [`DispatchMode`], an optional [`ResultCache`], an optional shared
 //! [`CostModel`] and (for the distributed service) remote worker endpoints,
-//! then call the `build_*` method matching the topology you want.  The
-//! historical constructors survive as thin delegates of this builder.
+//! then call the `build_*` method matching the topology you want.  It is
+//! the only way to construct any of the three.
 //!
 //! ```
 //! use pagani_core::ServiceBuilder;
@@ -126,11 +126,37 @@ impl ServiceBuilder {
         self
     }
 
-    /// Attach a shared [`ResultCache`]: exact hits, warm starts and partial
-    /// snapshots, shared by every lane (see
-    /// [`IntegrationService::with_cache`]).  The distributed front-end uses
-    /// it as the crash-recovery store: partial snapshots shipped back by
-    /// workers are kept here and re-shipped when a job is requeued.
+    /// Attach a shared [`ResultCache`], shared by every lane: a result
+    /// computed (or a partial tree persisted) on any device serves exact
+    /// hits and warm starts on every device.
+    ///
+    /// With a cache attached the default job path changes in three ways (all
+    /// invisible to callers except in wall time and
+    /// [`crate::ServiceMetrics`]):
+    ///
+    /// 1. an **exact hit** — same integrand name, region and tolerance as a
+    ///    cached converged run — is served without touching the device;
+    /// 2. a **miss with a usable snapshot** for the same integrand and region
+    ///    (any tolerance) *warm-starts* from that snapshot's region tree
+    ///    instead of the root, provided the snapshot's frozen error leaves
+    ///    headroom under this job's budget;
+    /// 3. every run **persists** its final tree — converged trees for future
+    ///    warm starts, partial trees from cancelled/deadline-shed runs so a
+    ///    retry continues rather than recomputes.
+    ///
+    /// Deadline admission prices jobs by *remaining* work: an exact hit costs
+    /// nothing, a feasible warm start costs its full prediction minus the
+    /// snapshot's predicted-work credit.
+    ///
+    /// Cache identity is `Integrand::name()` — callers mixing distinct
+    /// closures through one cached service must name them uniquely
+    /// (`FnIntegrand::named`).  Jobs with a per-job method override bypass
+    /// the cache entirely: the cache key cannot see the override's
+    /// configuration.
+    ///
+    /// The distributed front-end uses the cache as its crash-recovery store:
+    /// partial snapshots shipped back by workers are kept here and
+    /// re-shipped when a job is requeued.
     #[must_use]
     pub fn cache(mut self, cache: Arc<ResultCache>) -> Self {
         self.cache = Some(cache);
@@ -189,7 +215,7 @@ impl ServiceBuilder {
     /// Panics unless exactly one device was supplied and no remote endpoints
     /// were configured.
     #[must_use]
-    pub fn build(mut self) -> IntegrationService {
+    pub fn build(self) -> IntegrationService {
         assert!(
             self.endpoints.is_empty(),
             "remote endpoints were configured: build_distributed() is the matching topology"
@@ -199,14 +225,7 @@ impl ServiceBuilder {
             "build() wants exactly one device ({} supplied); use build_multi() for a pool",
             self.devices.len()
         );
-        let device = self.devices.pop().expect("length checked above");
-        IntegrationService::with_policy_and_model(
-            device,
-            self.config,
-            self.policy,
-            self.model.unwrap_or_else(|| Arc::new(CostModel::new())),
-            self.cache,
-        )
+        IntegrationService::from_builder(self)
     }
 
     /// Build a [`MultiDeviceService`]: one lane per supplied device, all

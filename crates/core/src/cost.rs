@@ -36,16 +36,13 @@
 //! (also pinned in `tests/scheduling_semantics.rs`).
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use pagani_quadrature::{Region, Tolerances};
 
 use crate::batch::BatchJob;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::lock;
 
 /// The saturation ceiling shared by [`estimated_cost`] and every dispatch
 /// weight: `2⁴⁰`.
@@ -214,6 +211,21 @@ pub fn slab_weights(total_cost: f64, slabs: &[Region]) -> Vec<f64> {
 #[must_use]
 pub fn remote_lane_load(outstanding: f64, workers: usize) -> f64 {
     outstanding / workers.max(1) as f64
+}
+
+/// The candidate with the least `load`, ties to the earliest candidate
+/// (candidates come in index order, so that is the lowest index); `None`
+/// when there is no candidate.  Every least-loaded pick in the crate goes
+/// through here — batch planning, local lanes and remote endpoints — each
+/// with its own load key.
+pub(crate) fn least_loaded(
+    candidates: impl Iterator<Item = usize>,
+    load: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    candidates
+        .map(|i| (i, load(i)))
+        .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
 }
 
 /// An exponentially-weighted moving average: `value ← α·x + (1-α)·value`,

@@ -35,6 +35,8 @@
 #![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod arena;
 pub mod batch;
 pub mod builder;
@@ -49,11 +51,12 @@ pub mod region_list;
 pub mod remote;
 pub mod resume;
 pub mod service;
+mod slab;
 pub mod threshold;
 pub mod trace;
 
 pub use arena::ScratchArena;
-pub use batch::{integrate_batch, BatchJob, BatchRunner};
+pub use batch::{integrate_batch, BatchJob};
 pub use builder::ServiceBuilder;
 pub use config::{HeuristicFiltering, PaganiConfig};
 pub use cost::{
@@ -80,3 +83,11 @@ pub use service::{
     ServiceMetrics, ServicePolicy, WaitStats,
 };
 pub use trace::{ExecutionTrace, IterationRecord, ThresholdProbe, ThresholdSearchRecord};
+
+/// Lock `mutex`, recovering the guard if a holder panicked: every mutex in
+/// this crate guards state that stays consistent across a panicking holder
+/// (counters, ledgers, queues of owned jobs), so poisoning carries no
+/// information here.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

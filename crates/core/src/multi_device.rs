@@ -27,9 +27,8 @@
 //! full-capacity memory view, so only wall-clock (and, for heterogeneous
 //! pools, memory-pressure behaviour) depends on placement.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pagani_quadrature::{Integrand, IntegrationResult, Region, Termination, Tolerances};
@@ -38,20 +37,16 @@ use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
 pub use crate::cost::{estimated_cost, estimated_job_cost};
-use crate::cost::{estimated_job_footprint_bytes, slab_weights, CostModel};
+use crate::cost::{least_loaded, CostModel};
 use crate::driver::{Pagani, PaganiOutput};
 use crate::integrator::ensure_matching_dims;
+use crate::lock;
 use crate::service::{
-    panic_message, IntegrationService, JobHandle, JobOutcome, JobState, QueueFull, Rejected,
-    ServiceMetrics, ServicePolicy,
+    CompletionHook, IntegrationService, JobHandle, QueueFull, Rejected, ServiceMetrics,
 };
-use crate::trace::ExecutionTrace;
+use crate::slab::{slab_parts, submit_slabbed};
 use pagani_device::Device;
 use pagani_persist::ResultCache;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How a multi-device dispatcher assigns jobs to devices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,14 +84,7 @@ pub fn plan_dispatch(costs: &[f64], lanes: usize, mode: DispatchMode) -> Vec<usi
             costs
                 .iter()
                 .map(|&cost| {
-                    let lane = assigned
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| {
-                            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .map(|(i, _)| i)
-                        .expect("lanes is non-zero");
+                    let lane = least_loaded(0..lanes, |i| assigned[i]).expect("lanes is non-zero");
                     assigned[lane] += cost;
                     lane
                 })
@@ -113,6 +101,23 @@ struct Lane {
     outstanding: Arc<Mutex<f64>>,
 }
 
+impl Lane {
+    /// Whether the lane's queue is below its bound (always, when unbounded)
+    /// — a best-effort snapshot that can race a concurrent submitter.
+    fn has_space(&self) -> bool {
+        let bound = self.service.policy().queue_bound;
+        bound.is_none_or(|bound| self.service.queued_jobs() < bound)
+    }
+
+    /// Charge `cost` to this lane's ledger and return the completion hook
+    /// that retires it at exactly the charged value.
+    fn charge(&self, cost: f64) -> Option<CompletionHook> {
+        *lock(&self.outstanding) += cost;
+        let outstanding = Arc::clone(&self.outstanding);
+        Some(Box::new(move || *lock(&outstanding) -= cost))
+    }
+}
+
 /// One submission queue feeding N devices.
 ///
 /// Mirrors [`IntegrationService`] at the device-pool level: `submit` weighs
@@ -123,14 +128,13 @@ struct Lane {
 /// plans a whole batch deterministically through [`plan_dispatch`].
 ///
 /// ```
-/// use pagani_core::{BatchJob, MultiDeviceService, PaganiConfig};
+/// use pagani_core::{BatchJob, PaganiConfig, ServiceBuilder};
 /// use pagani_device::Device;
 /// use pagani_quadrature::{FnIntegrand, Tolerances};
 ///
-/// let service = MultiDeviceService::new(
-///     vec![Device::test_small(), Device::test_small()],
-///     PaganiConfig::test_small(Tolerances::rel(1e-5)),
-/// );
+/// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-5)))
+///     .devices([Device::test_small(), Device::test_small()])
+///     .build_multi();
 /// let jobs = [
 ///     BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1])),
 ///     BatchJob::new(FnIntegrand::new(3, |x: &[f64]| x[0] * x[1] * x[2])),
@@ -145,118 +149,34 @@ pub struct MultiDeviceService {
     mode: DispatchMode,
     round_robin_next: AtomicUsize,
     default_tolerances: Tolerances,
-    /// One measured cost model shared by every lane: a wall time observed on
-    /// any device prices that job family on all of them.
-    model: Arc<CostModel>,
-    /// The pool-wide result cache, when one was supplied — shared by every
-    /// lane so any device's work serves the whole pool.
-    cache: Option<Arc<ResultCache>>,
 }
 
 impl MultiDeviceService {
-    /// Start a cost-balanced service over `devices`, one lane (a full
-    /// [`IntegrationService`]) per device.  Thin delegate of
-    /// [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn new(devices: Vec<Device>, config: PaganiConfig) -> Self {
-        ServiceBuilder::new(config).devices(devices).build_multi()
-    }
-
-    /// Start a service with an explicit [`DispatchMode`].  Thin delegate of
-    /// [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn with_mode(devices: Vec<Device>, config: PaganiConfig, mode: DispatchMode) -> Self {
-        ServiceBuilder::new(config)
-            .devices(devices)
-            .dispatch(mode)
-            .build_multi()
-    }
-
-    /// Start a service with an explicit mode and a per-lane
-    /// [`ServicePolicy`] (each device's lane applies the policy
-    /// independently).  Thin delegate of [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn with_policy(
-        devices: Vec<Device>,
-        config: PaganiConfig,
-        mode: DispatchMode,
-        policy: ServicePolicy,
-    ) -> Self {
-        ServiceBuilder::new(config)
-            .devices(devices)
-            .dispatch(mode)
-            .policy(policy)
-            .build_multi()
-    }
-
-    /// Start a service whose lanes all share one [`ResultCache`]: a result
-    /// computed (or a partial tree persisted) on any device serves exact hits
-    /// and warm starts on every device.  See
-    /// [`IntegrationService::with_cache`] for the per-lane cache semantics.
-    /// Thin delegate of [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn with_cache(
-        devices: Vec<Device>,
-        config: PaganiConfig,
-        mode: DispatchMode,
-        policy: ServicePolicy,
-        cache: Arc<ResultCache>,
-    ) -> Self {
-        ServiceBuilder::new(config)
-            .devices(devices)
-            .dispatch(mode)
-            .policy(policy)
-            .cache(cache)
-            .build_multi()
-    }
-
-    /// The one real construction path, fed by
-    /// [`ServiceBuilder::build_multi`].
-    pub(crate) fn from_builder(builder: ServiceBuilder) -> Self {
-        let ServiceBuilder {
-            config,
-            devices,
-            policy,
-            dispatch: mode,
-            cache,
-            model,
-            ..
-        } = builder;
-        assert!(!devices.is_empty(), "at least one device is required");
-        let default_tolerances = config.tolerances;
-        let model = model.unwrap_or_else(|| Arc::new(CostModel::new()));
-        let lanes = devices
+    /// The one construction path, fed by [`ServiceBuilder::build_multi`]:
+    /// one lane per device, each built from a copy of `builder` so every
+    /// lane shares the policy, the cache and one cost model.
+    pub(crate) fn from_builder(mut builder: ServiceBuilder) -> Self {
+        assert!(
+            !builder.devices.is_empty(),
+            "at least one device is required"
+        );
+        // One measured cost model shared by every lane: a wall time observed
+        // on any device prices that job family on all of them.
+        builder
+            .model
+            .get_or_insert_with(|| Arc::new(CostModel::new()));
+        let lanes = std::mem::take(&mut builder.devices)
             .into_iter()
             .map(|device| Lane {
-                service: IntegrationService::with_policy_and_model(
-                    device,
-                    config.clone(),
-                    policy,
-                    Arc::clone(&model),
-                    cache.clone(),
-                ),
+                service: builder.clone().device(device).build(),
                 outstanding: Arc::new(Mutex::new(0.0)),
             })
             .collect();
         Self {
             lanes,
-            mode,
+            mode: builder.dispatch,
             round_robin_next: AtomicUsize::new(0),
-            default_tolerances,
-            model,
-            cache,
+            default_tolerances: builder.config.tolerances,
         }
     }
 
@@ -297,14 +217,15 @@ impl MultiDeviceService {
     /// it to watch the pool's learning converge.
     #[must_use]
     pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.model
+        self.lanes[0].service.cost_model()
     }
 
-    /// The pool-wide [`ResultCache`], when the service was built with
-    /// [`MultiDeviceService::with_cache`].
+    /// The pool-wide [`ResultCache`], when the builder carried one
+    /// ([`ServiceBuilder::cache`]) — shared by every lane, so any device's
+    /// work serves the whole pool.
     #[must_use]
     pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
+        self.lanes[0].service.result_cache()
     }
 
     /// Pick the lane the next submission goes to; advances the round-robin
@@ -316,22 +237,10 @@ impl MultiDeviceService {
             }
             DispatchMode::CostBalanced => {
                 let costs = self.outstanding_costs();
-                let has_space = |i: usize| {
-                    let lane = &self.lanes[i];
-                    lane.service
-                        .policy()
-                        .queue_bound
-                        .is_none_or(|bound| lane.service.queued_jobs() < bound)
-                };
-                let least_loaded = |candidates: &mut dyn Iterator<Item = usize>| {
-                    candidates.min_by(|&a, &b| {
-                        costs[a]
-                            .partial_cmp(&costs[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                };
-                least_loaded(&mut (0..self.lanes.len()).filter(|&i| has_space(i)))
-                    .or_else(|| least_loaded(&mut (0..self.lanes.len())))
+                let load = |i: usize| costs[i];
+                let lanes = 0..self.lanes.len();
+                least_loaded(lanes.clone().filter(|&i| self.lanes[i].has_space()), load)
+                    .or_else(|| least_loaded(lanes, load))
                     .expect("the lane list is never empty")
             }
         }
@@ -340,7 +249,7 @@ impl MultiDeviceService {
     /// Dispatch `job` to a device and return its handle.
     ///
     /// `CostBalanced` picks the device with the least estimated outstanding
-    /// cost at this instant; under a bounded per-lane [`ServicePolicy`],
+    /// cost at this instant; under a bounded per-lane [`crate::ServicePolicy`],
     /// lanes whose queue is at its bound are skipped (best-effort — the
     /// occupancy snapshot can race a concurrent submitter) so a full cheap
     /// lane cannot block the call while another lane has room; only when
@@ -352,23 +261,30 @@ impl MultiDeviceService {
     /// completes.
     ///
     /// **Oversized jobs slab-split.**  A job whose
-    /// [`estimated_job_footprint_bytes`] exceeds the smallest lane's memory
+    /// [`crate::estimated_job_footprint_bytes`] exceeds the smallest lane's memory
     /// capacity cannot converge on any single device; instead of letting it
     /// exhaust memory, the service cuts its region into
     /// [`MultiDevicePagani::partition`] slabs (one child job per slab, each
     /// inheriting the parent's priority and deadline), dispatches the
     /// children through the ordinary cost-balanced lanes with
-    /// [`slab_weights`] charges, and recombines them **bit-deterministically**:
+    /// [`crate::slab_weights`] charges, and recombines them **bit-deterministically**:
     /// children are summed in fixed slab order with exactly the
     /// [`MultiDevicePagani::integrate_region`] fold, so the parent handle's
     /// result is a pure function of the slab results.  Cancelling the parent
     /// handle cancels every child.
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
-        if let Some(parts) = self.slab_parts(&job) {
-            return self.submit_slabbed(job, parts);
+        if let Some(parts) = slab_parts(&job, self.default_tolerances, self.slab_budget()) {
+            return submit_slabbed(
+                job,
+                parts,
+                self.cost_model(),
+                self.default_tolerances,
+                |child, weight| self.submit_weighted(self.select_lane(), child, weight),
+            );
         }
-        self.submit_to(self.select_lane(), job)
+        let cost = self.cost_model().weigh_job(&job, self.default_tolerances);
+        self.submit_weighted(self.select_lane(), job, cost)
     }
 
     /// [`MultiDeviceService::submit`] with refuse-instead-of-wait semantics:
@@ -387,7 +303,7 @@ impl MultiDeviceService {
     /// [`Rejected::DeadlineInfeasible`] when the shared model predicts the
     /// deadline cannot be met on that lane.
     pub fn try_submit(&self, job: BatchJob) -> Result<JobHandle, Rejected> {
-        if let Some(parts) = self.slab_parts(&job) {
+        if slab_parts(&job, self.default_tolerances, self.slab_budget()).is_some() {
             // Slab children bypass per-child admission (they exist precisely
             // because the whole job is infeasible on one device), so refuse
             // up front only on capacity: when every lane's queue is at its
@@ -395,32 +311,19 @@ impl MultiDeviceService {
             // admission is deliberately optimistic here — the model prices
             // whole jobs, not slabs, and a refusal based on the unsplit
             // footprint would reject exactly the jobs splitting rescues.
-            let full_bound = (0..self.lanes.len())
-                .map(|i| {
-                    let lane = &self.lanes[i];
-                    lane.service
-                        .policy()
-                        .queue_bound
-                        .filter(|&bound| lane.service.queued_jobs() >= bound)
-                })
-                .collect::<Option<Vec<usize>>>();
-            if let Some(bounds) = full_bound {
-                let bound = bounds.into_iter().min().unwrap_or(0);
+            if !self.lanes.iter().any(Lane::has_space) {
+                let bounds = self
+                    .lanes
+                    .iter()
+                    .filter_map(|l| l.service.policy().queue_bound);
+                let bound = bounds.min().unwrap_or(0);
                 return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
             }
-            return Ok(self.submit_slabbed(job, parts));
+            return Ok(self.submit(job));
         }
-        let lane_index = self.select_lane();
-        let lane = &self.lanes[lane_index];
-        let cost = self.model.weigh_job(&job, self.default_tolerances);
-        *lock(&lane.outstanding) += cost;
-        let outstanding = Arc::clone(&lane.outstanding);
-        let result = lane.service.try_submit_with_hook(
-            job,
-            Some(Box::new(move || {
-                *lock(&outstanding) -= cost;
-            })),
-        );
+        let lane = &self.lanes[self.select_lane()];
+        let cost = self.cost_model().weigh_job(&job, self.default_tolerances);
+        let result = lane.service.try_submit_with_hook(job, lane.charge(cost));
         if result.is_err() {
             // The lane never accepted the job, so its completion hook will
             // never run: revert the charge at exactly the charged value.
@@ -429,93 +332,21 @@ impl MultiDeviceService {
         result
     }
 
-    /// Dispatch `job` to the planned `lane`, charging and later retiring its
-    /// weight under the shared [`CostModel`].
-    fn submit_to(&self, lane_index: usize, job: BatchJob) -> JobHandle {
-        let cost = self.model.weigh_job(&job, self.default_tolerances);
-        self.submit_weighted(lane_index, job, cost)
-    }
-
-    /// [`MultiDeviceService::submit_to`] with an explicit charge — the slab
-    /// path apportions the parent's weight across children, so a child's
-    /// charge is its [`slab_weights`] share rather than its own model weight.
+    /// Dispatch `job` to lane `lane_index`, charging `cost` to its ledger
+    /// until the job completes: the job's weight under the shared
+    /// [`CostModel`], or a slab child's [`crate::slab_weights`] share.
     fn submit_weighted(&self, lane_index: usize, job: BatchJob, cost: f64) -> JobHandle {
         let lane = &self.lanes[lane_index];
-        *lock(&lane.outstanding) += cost;
-        let outstanding = Arc::clone(&lane.outstanding);
-        lane.service.submit_with_hook(
-            job,
-            Some(Box::new(move || {
-                *lock(&outstanding) -= cost;
-            })),
-        )
+        lane.service.submit_with_hook(job, lane.charge(cost))
     }
 
-    /// How many slabs `job` must be cut into, or `None` when it fits on one
-    /// device (the overwhelmingly common case) or carries a per-job method
-    /// override (baseline methods have no slab-composition story).
-    fn slab_parts(&self, job: &BatchJob) -> Option<usize> {
-        if job.method().is_some() {
-            return None;
-        }
-        let budget = self
-            .lanes
+    /// The memory budget a slab must fit: the smallest lane's capacity,
+    /// since a slab child may land on any lane.
+    fn slab_budget(&self) -> Option<u64> {
+        self.lanes
             .iter()
-            .map(|lane| lane.service.device().config().memory_capacity)
+            .map(|lane| lane.service.device().config().memory_capacity as u64)
             .min()
-            .expect("the lane list is never empty") as f64;
-        let footprint = estimated_job_footprint_bytes(job, self.default_tolerances);
-        if footprint <= budget {
-            return None;
-        }
-        Some(((footprint / budget).ceil() as usize).clamp(2, 64))
-    }
-
-    /// Split an oversized job into `parts` slab children, dispatch each
-    /// through the ordinary lanes, and hand back a parent handle served by a
-    /// combiner thread that waits for the children **in slab order** and
-    /// publishes the [`combine_slab_outputs`] fold.
-    fn submit_slabbed(&self, job: BatchJob, parts: usize) -> JobHandle {
-        let slabs = MultiDevicePagani::partition(job.region(), parts);
-        let total_cost = self.model.weigh_job(&job, self.default_tolerances);
-        let weights = slab_weights(total_cost, &slabs);
-        let children: Vec<JobHandle> = slabs
-            .into_iter()
-            .zip(&weights)
-            .map(|(slab, &weight)| {
-                self.submit_weighted(self.select_lane(), job.clone().over(slab), weight)
-            })
-            .collect();
-        let tolerances = crate::cost::job_tolerances(&job, self.default_tolerances);
-        let parent = Arc::new(JobState::new());
-        let state = Arc::clone(&parent);
-        let waited = children.clone();
-        std::thread::Builder::new()
-            .name("pagani-slab-combiner".into())
-            .spawn(move || {
-                let mut outputs = Vec::with_capacity(waited.len());
-                for child in &waited {
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| child.wait())) {
-                        Ok(output) => outputs.push(output),
-                        Err(payload) => {
-                            state.complete(JobOutcome::Panicked(panic_message(payload.as_ref())));
-                            return;
-                        }
-                    }
-                }
-                state.complete(JobOutcome::Finished(combine_slab_outputs(
-                    &outputs, tolerances,
-                )));
-            })
-            .expect("spawning the slab-combiner thread");
-        JobHandle::detached(
-            parent,
-            Some(Arc::new(move || {
-                for child in &children {
-                    child.cancel();
-                }
-            })),
-        )
     }
 
     /// Run a fixed batch of jobs across the pool, returning outputs in job
@@ -533,13 +364,13 @@ impl MultiDeviceService {
     pub fn integrate_batch(&self, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
         let costs: Vec<f64> = jobs
             .iter()
-            .map(|job| self.model.weigh_job(job, self.default_tolerances))
+            .map(|job| self.cost_model().weigh_job(job, self.default_tolerances))
             .collect();
         let plan = plan_dispatch(&costs, self.lanes.len(), self.mode);
         let handles: Vec<JobHandle> = jobs
             .iter()
-            .zip(&plan)
-            .map(|(job, &lane)| self.submit_to(lane, job.clone()))
+            .zip(plan.into_iter().zip(costs))
+            .map(|(job, (lane, cost))| self.submit_weighted(lane, job.clone(), cost))
             .collect();
         handles.iter().map(JobHandle::wait).collect()
     }
@@ -558,7 +389,6 @@ impl MultiDeviceService {
 pub struct MultiDevicePagani {
     devices: Vec<Device>,
     config: PaganiConfig,
-    dispatch: DispatchMode,
 }
 
 /// Result of a multi-device run: the combined result plus each device's output.
@@ -571,40 +401,14 @@ pub struct MultiDeviceOutput {
 }
 
 impl MultiDevicePagani {
-    /// Create a multi-device integrator (cost-balanced batch dispatch by
-    /// default; see [`MultiDevicePagani::with_dispatch`]).
+    /// Create a multi-device integrator over `devices`.
     ///
     /// # Panics
     /// Panics if `devices` is empty.
     #[must_use]
     pub fn new(devices: Vec<Device>, config: PaganiConfig) -> Self {
         assert!(!devices.is_empty(), "at least one device is required");
-        Self {
-            devices,
-            config,
-            dispatch: DispatchMode::default(),
-        }
-    }
-
-    /// Choose how [`MultiDevicePagani::integrate_batch`] assigns jobs to
-    /// devices: [`DispatchMode::CostBalanced`] (the default) or the pinned
-    /// deterministic [`DispatchMode::RoundRobin`] fallback.
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// The batch dispatch mode in force.
-    #[must_use]
-    pub fn dispatch(&self) -> DispatchMode {
-        self.dispatch
-    }
-
-    /// Number of devices in the pool.
-    #[must_use]
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
+        Self { devices, config }
     }
 
     /// Cut `root` into one slab per device by repeatedly halving the widest axis.
@@ -641,36 +445,6 @@ impl MultiDevicePagani {
     pub fn integrate<F: Integrand + Sync + ?Sized>(&self, f: &F) -> MultiDeviceOutput {
         let (lo, hi) = f.default_bounds();
         self.integrate_region(f, &Region::new(lo, hi))
-    }
-
-    /// Run a batch of independent jobs across the device pool, returning
-    /// outputs in job order.
-    ///
-    /// Sugar over a transient [`MultiDeviceService`]: the batch is planned
-    /// with [`plan_dispatch`] under this integrator's [`DispatchMode`] —
-    /// cost-balanced greedy assignment by default, or round-robin (job `i` on
-    /// device `i mod n`, the pinned deterministic fallback) — then every job
-    /// runs against an isolated memory view of its device, so each output is
-    /// bit-identical to running that job alone on an identically-configured
-    /// device regardless of placement.
-    ///
-    /// **Heterogeneous pools:** when the devices differ (memory capacity
-    /// above all), a job's outcome *does* depend on which device serves it —
-    /// a heavy job planned onto a small device can exhaust memory where the
-    /// large device would converge.  The cost model weighs jobs, not
-    /// devices, so on mixed pools pin placement explicitly with
-    /// [`MultiDevicePagani::with_dispatch`]`(DispatchMode::RoundRobin)` (the
-    /// pre-cost-model behaviour: job `i` always on device `i mod n`).
-    #[must_use]
-    pub fn integrate_batch(&self, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let service =
-            MultiDeviceService::with_mode(self.devices.clone(), self.config.clone(), self.dispatch);
-        let outputs = service.integrate_batch(jobs);
-        service.shutdown();
-        outputs
     }
 
     /// Integrate `f` over an explicit region, one slab per device, concurrently.
@@ -714,13 +488,13 @@ impl MultiDevicePagani {
 }
 
 /// The slab-composition fold shared by [`MultiDevicePagani::integrate_region`]
-/// and the slab-splitting service path: sum estimates, errors and counters
+/// and the services' slab path (`slab.rs`): sum estimates, errors and counters
 /// over the slab results **in slab order** (the fold order is part of the
 /// bit-determinism contract — f64 addition does not commute in the last ulp).
 ///
 /// The combined run converged if every slab did, or if the summed errors
 /// happen to satisfy the tolerance anyway.
-fn combine_results<'a>(
+pub(crate) fn combine_results<'a>(
     results: impl Iterator<Item = &'a IntegrationResult>,
     tolerances: Tolerances,
     wall_time: Duration,
@@ -759,26 +533,6 @@ fn combine_results<'a>(
         regions_generated,
         active_regions_final: active_final,
         wall_time,
-    }
-}
-
-/// Recombine slab-child outputs into the parent's output: the
-/// [`combine_results`] fold in slab order, wall time the slowest child's
-/// (children run concurrently; the combiner reads no clock of its own, so
-/// results stay a pure function of the slab outputs).  The parent's trace is
-/// empty — per-slab traces describe per-device runs and do not compose.
-pub(crate) fn combine_slab_outputs(
-    outputs: &[PaganiOutput],
-    tolerances: Tolerances,
-) -> PaganiOutput {
-    let wall_time = outputs
-        .iter()
-        .map(|o| o.result.wall_time)
-        .max()
-        .unwrap_or_default();
-    PaganiOutput {
-        result: combine_results(outputs.iter().map(|o| &o.result), tolerances, wall_time),
-        trace: ExecutionTrace::default(),
     }
 }
 
@@ -1040,7 +794,10 @@ mod tests {
         let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
         let mut per_mode = Vec::new();
         for mode in [DispatchMode::CostBalanced, DispatchMode::RoundRobin] {
-            let service = MultiDeviceService::with_mode(devices(2), config.clone(), mode);
+            let service = ServiceBuilder::new(config.clone())
+                .devices(devices(2))
+                .dispatch(mode)
+                .build_multi();
             assert_eq!(service.mode(), mode);
             let bits: Vec<u64> = service
                 .integrate_batch(&jobs)
@@ -1064,7 +821,9 @@ mod tests {
         // in between (jobs are real, but dispatch happens immediately):
         // cost-balanced streaming must alternate lanes rather than pile up.
         let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
-        let service = MultiDeviceService::new(devices(2), config);
+        let service = ServiceBuilder::new(config)
+            .devices(devices(2))
+            .build_multi();
         let handles: Vec<_> = (0..4)
             .map(|_| service.submit(BatchJob::new(PaperIntegrand::f4(3))))
             .collect();
@@ -1086,8 +845,11 @@ mod tests {
             BatchJob::shared(f4.clone()),
         ];
         let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
-        let multi = MultiDevicePagani::new(devices(2), config.clone());
+        let multi = ServiceBuilder::new(config.clone())
+            .devices(devices(2))
+            .build_multi();
         let outputs = multi.integrate_batch(&jobs);
+        multi.shutdown();
         assert_eq!(outputs.len(), jobs.len());
         // Every output matches the same job run alone on an equivalent device.
         let lone_f4 = Pagani::new(devices(1).pop().unwrap(), config.clone()).integrate(f4.as_ref());
@@ -1104,8 +866,11 @@ mod tests {
 
     #[test]
     fn empty_multi_device_batch_is_empty() {
-        let multi = MultiDevicePagani::new(devices(2), PaganiConfig::default());
+        let multi = ServiceBuilder::new(PaganiConfig::default())
+            .devices(devices(2))
+            .build_multi();
         assert!(multi.integrate_batch(&[]).is_empty());
+        multi.shutdown();
     }
 
     proptest! {

@@ -17,10 +17,11 @@
 //!   surviving worker ([`ServiceMetrics::remote_requeued`] counts them),
 //!   re-shipping the latest persisted checkpoint where one exists so
 //!   completed iterations are not recomputed.
-//! * **Slab splitting**: a job whose estimated footprint exceeds every
-//!   worker's device memory is cut into [`MultiDevicePagani::partition`]
-//!   slabs, dispatched as independent wire jobs, and recombined
-//!   bit-deterministically in slab order.
+//! * **Slab splitting**: a job whose estimated footprint exceeds the
+//!   smallest live worker's device memory is cut into
+//!   [`crate::MultiDevicePagani::partition`] slabs, dispatched as
+//!   independent wire jobs, and recombined bit-deterministically in slab
+//!   order — the same slab path as [`crate::MultiDeviceService`].
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
@@ -29,28 +30,23 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pagani_persist::{CacheKey, ResultCache, Snapshot};
+use pagani_persist::{ResultCache, Snapshot};
 use pagani_quadrature::{IntegrationResult, Termination, Tolerances};
 
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
-use crate::cost::{
-    estimated_job_footprint_bytes, job_tolerances, remote_lane_load, slab_weights, CostModel,
-};
+use crate::cost::{least_loaded, remote_lane_load, CostModel};
 use crate::driver::PaganiOutput;
-use crate::multi_device::{combine_slab_outputs, MultiDevicePagani};
+use crate::lock;
 use crate::remote::wire::{
     priority_to_tag, tag_to_termination, Message, NO_DEADLINE, PROTOCOL_VERSION,
 };
 use crate::service::{
-    DeadlineInfeasible, JobHandle, JobOutcome, JobState, Observability, QueueFull, Rejected,
-    ServiceMetrics, ServicePolicy,
+    completion_after_backlog, job_cache_key, JobHandle, JobOutcome, JobState, Observability,
+    Rejected, ServiceMetrics, ServicePolicy,
 };
+use crate::slab::{slab_parts, submit_slabbed};
 use crate::trace::ExecutionTrace;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One connected remote worker.
 #[derive(Debug)]
@@ -82,6 +78,11 @@ struct Pending {
     job: BatchJob,
     state: Arc<JobState>,
     endpoint: usize,
+    /// The job's dispatch weight, charged to whichever endpoint holds it —
+    /// its model weight, or its slab share for a slab child.
+    weight: f64,
+    /// What is charged to `endpoint` right now: `weight`, or `0.0` once a
+    /// dead endpoint's ledger has been retired.
     charge: f64,
 }
 
@@ -206,27 +207,28 @@ impl DistributedService {
     /// Dispatch `job` to the least-loaded live worker and return its handle.
     /// Blocks while the in-flight set is at [`ServicePolicy::queue_bound`].
     ///
-    /// Oversized jobs (estimated footprint past every worker's device
-    /// memory) slab-split exactly like
+    /// Oversized jobs (estimated footprint past the smallest live worker's
+    /// device memory) slab-split exactly like
     /// [`crate::MultiDeviceService::submit`]: children ship as independent
-    /// wire jobs and a combiner thread recombines them in slab order.
+    /// wire jobs, each charging its slab share, and a combiner thread
+    /// recombines them in slab order.
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
-        if let Some(parts) = self.slab_parts(&job) {
-            return self.submit_slabbed(job, parts);
+        let shared = &self.shared;
+        if let Some(parts) = slab_parts(&job, shared.tolerances, slab_budget(shared)) {
+            return submit_slabs(shared, job, parts);
         }
-        let mut pending = lock(&self.shared.pending);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            while pending.len() >= bound && !self.shared.shutting_down.load(AtomicOrdering::SeqCst)
-            {
-                pending = self
-                    .shared
+        let weight = shared.model.weigh_job(&job, shared.tolerances);
+        let mut pending = lock(&shared.pending);
+        if let Some(bound) = shared.policy.queue_bound {
+            while pending.len() >= bound && !shared.shutting_down.load(AtomicOrdering::SeqCst) {
+                pending = shared
                     .space
                     .wait(pending)
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        dispatch_locked(&self.shared, pending, job, false)
+        dispatch_locked(shared, pending, job, weight)
     }
 
     /// [`DistributedService::submit`] with refuse-instead-of-wait semantics,
@@ -240,38 +242,19 @@ impl DistributedService {
     /// [`Rejected::QueueFull`] and [`Rejected::DeadlineInfeasible`], each
     /// handing the job back unmodified.
     pub fn try_submit(&self, job: BatchJob) -> Result<JobHandle, Rejected> {
-        let pending = lock(&self.shared.pending);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            if pending.len() >= bound {
-                drop(pending);
-                self.shared
-                    .obs
-                    .rejected_queue_full
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
-            }
-        }
-        if let Some(deadline) = job.deadline() {
-            if let Some(estimated) = self.estimated_completion(&job) {
-                if estimated > deadline {
-                    drop(pending);
-                    self.shared
-                        .obs
-                        .rejected_deadline_infeasible
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                    return Err(Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
-                        estimated,
-                        deadline,
-                        job,
-                    })));
-                }
-            }
-        }
-        if let Some(parts) = self.slab_parts(&job) {
+        let shared = &self.shared;
+        let weight = shared.model.weigh_job(&job, shared.tolerances);
+        let pending = lock(&shared.pending);
+        let job = shared
+            .obs
+            .admit(shared.policy.queue_bound, pending.len(), job, |job| {
+                self.estimated_completion(job)
+            })?;
+        if let Some(parts) = slab_parts(&job, shared.tolerances, slab_budget(shared)) {
             drop(pending);
-            return Ok(self.submit_slabbed(job, parts));
+            return Ok(submit_slabs(shared, job, parts));
         }
-        Ok(dispatch_locked(&self.shared, pending, job, false))
+        Ok(dispatch_locked(shared, pending, job, weight))
     }
 
     /// Predicted time to complete `job` from now: the live workers' pooled
@@ -290,18 +273,7 @@ impl DistributedService {
             .fold((0.0f64, 0usize), |(sum, workers), e| {
                 (sum + *lock(&e.outstanding), workers + e.workers as usize)
             });
-        let backlog =
-            Duration::from_secs_f64((outstanding / 1e6 / workers.max(1) as f64).clamp(0.0, 1e9));
-        Some(backlog + own)
-    }
-
-    /// Run a fixed batch across the workers, returning outputs in job order
-    /// — the distributed analogue of
-    /// [`crate::MultiDeviceService::integrate_batch`].
-    #[must_use]
-    pub fn integrate_batch(&self, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
-        let handles: Vec<JobHandle> = jobs.iter().map(|job| self.submit(job.clone())).collect();
-        handles.iter().map(JobHandle::wait).collect()
+        Some(completion_after_backlog(own, outstanding, workers))
     }
 
     /// Graceful shutdown: wait for every in-flight job to complete, then
@@ -328,82 +300,6 @@ impl DistributedService {
         for thread in self.threads {
             let _ = thread.join();
         }
-    }
-
-    /// How many slabs `job` needs, or `None` when some live worker can hold
-    /// it whole (or it carries a method override — no slab-composition story
-    /// for baselines).  Mirrors the [`crate::MultiDeviceService`] check with
-    /// the budget taken from the *largest* live worker: one big box should
-    /// serve a big job whole rather than splitting it.
-    fn slab_parts(&self, job: &BatchJob) -> Option<usize> {
-        if job.method().is_some() {
-            return None;
-        }
-        let budget = self
-            .shared
-            .endpoints
-            .iter()
-            .filter(|e| e.alive.load(AtomicOrdering::SeqCst))
-            .map(|e| e.memory_capacity)
-            .max()? as f64;
-        let footprint = estimated_job_footprint_bytes(job, self.shared.tolerances);
-        if footprint <= budget {
-            return None;
-        }
-        Some(((footprint / budget).ceil() as usize).clamp(2, 64))
-    }
-
-    /// Slab-split an oversized job: children dispatch as independent wire
-    /// jobs (inheriting priority and deadline), a combiner thread waits in
-    /// slab order and publishes the [`combine_slab_outputs`] fold — the same
-    /// bit-determinism contract as the in-process slab path.
-    fn submit_slabbed(&self, job: BatchJob, parts: usize) -> JobHandle {
-        let slabs = MultiDevicePagani::partition(job.region(), parts);
-        let total_cost = self.shared.model.weigh_job(&job, self.shared.tolerances);
-        let weights = slab_weights(total_cost, &slabs);
-        let children: Vec<JobHandle> = slabs
-            .into_iter()
-            .zip(&weights)
-            .map(|(slab, _)| {
-                // Children carry their own wire charges (weigh_job of the
-                // child); the slab_weights apportionment documents the
-                // parent's split for ledger introspection.
-                let pending = lock(&self.shared.pending);
-                dispatch_locked(&self.shared, pending, job.clone().over(slab), false)
-            })
-            .collect();
-        let tolerances = job_tolerances(&job, self.shared.tolerances);
-        let parent = Arc::new(JobState::new());
-        let state = Arc::clone(&parent);
-        let waited = children.clone();
-        std::thread::Builder::new()
-            .name("pagani-slab-combiner".into())
-            .spawn(move || {
-                let mut outputs = Vec::with_capacity(waited.len());
-                for child in &waited {
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| child.wait())) {
-                        Ok(output) => outputs.push(output),
-                        Err(payload) => {
-                            state.complete(JobOutcome::Panicked(crate::service::panic_message(
-                                payload.as_ref(),
-                            )));
-                            return;
-                        }
-                    }
-                }
-                state.complete(JobOutcome::Finished(combine_slab_outputs(
-                    &outputs, tolerances,
-                )));
-            })
-            .expect("spawning the slab-combiner thread");
-        JobHandle::detached(
-            parent,
-            Some(Arc::new(move || {
-                for child in &children {
-                    child.cancel();
-                }
-            })),
-        )
     }
 }
 
@@ -446,23 +342,11 @@ fn connect(addr: &str) -> std::io::Result<Endpoint> {
     }
 }
 
-/// The front-end cache key of a job — same scheme as the local services'
-/// `job_cache_key`.
-fn cache_key(job: &BatchJob, tolerances: Tolerances) -> CacheKey {
-    CacheKey::new(
-        &job.integrand().name(),
-        job.region().lo(),
-        job.region().hi(),
-        tolerances.rel,
-        tolerances.abs,
-    )
-}
-
 /// Build the `Submit` frame for `job`, attaching the best persisted
 /// checkpoint when the front-end cache holds one.
 fn submit_frame(shared: &DistShared, job_id: u64, job: &BatchJob) -> Message {
     let snapshot_json = shared.cache.as_ref().and_then(|cache| {
-        let key = cache_key(job, shared.tolerances);
+        let key = job_cache_key(job, shared.tolerances);
         cache
             .lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
             .map(|snapshot| snapshot.to_json_string())
@@ -481,29 +365,39 @@ fn submit_frame(shared: &DistShared, job_id: u64, job: &BatchJob) -> Message {
     }
 }
 
-/// The live endpoint with the least per-worker-thread outstanding load.
-fn least_loaded(shared: &DistShared) -> Option<usize> {
+/// The memory budget a slab must fit: the smallest live worker's device
+/// memory, since [`ship`] may place a slab child on any live worker.
+/// `None` when no worker is alive.
+fn slab_budget(shared: &DistShared) -> Option<u64> {
     shared
         .endpoints
         .iter()
-        .enumerate()
-        .filter(|(_, e)| e.alive.load(AtomicOrdering::SeqCst))
-        .min_by(|(_, a), (_, b)| {
-            let la = remote_lane_load(*lock(&a.outstanding), a.workers as usize);
-            let lb = remote_lane_load(*lock(&b.outstanding), b.workers as usize);
-            la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)
+        .filter(|e| e.alive.load(AtomicOrdering::SeqCst))
+        .map(|e| e.memory_capacity)
+        .min()
+}
+
+/// The slab path with wire dispatch: every child registers and ships as an
+/// ordinary pending job, charging its slab share.
+fn submit_slabs(shared: &Arc<DistShared>, job: BatchJob, parts: usize) -> JobHandle {
+    submit_slabbed(
+        job,
+        parts,
+        &shared.model,
+        shared.tolerances,
+        |child, weight| dispatch_locked(shared, lock(&shared.pending), child, weight),
+    )
 }
 
 /// Register `job` as pending (holding the lock so queue-bound checks stay
-/// exact), then ship it.  Returns a detached handle whose cancel hook
-/// forwards a `Cancel` frame to whichever worker currently holds the job.
+/// exact), then ship it, charging `weight` to whichever worker takes it.
+/// Returns a detached handle whose cancel hook forwards a `Cancel` frame to
+/// whichever worker currently holds the job.
 fn dispatch_locked(
     shared: &Arc<DistShared>,
     mut pending: MutexGuard<'_, HashMap<u64, Pending>>,
     job: BatchJob,
-    requeue: bool,
+    weight: f64,
 ) -> JobHandle {
     let job_id = shared.next_job_id.fetch_add(1, AtomicOrdering::Relaxed);
     let state = Arc::new(JobState::new());
@@ -513,12 +407,13 @@ fn dispatch_locked(
             job: job.clone(),
             state: Arc::clone(&state),
             endpoint: usize::MAX, // patched by ship()
+            weight,
             charge: 0.0,
         },
     );
     drop(pending);
     shared.obs.submitted.fetch_add(1, AtomicOrdering::Relaxed);
-    ship(shared, job_id, requeue);
+    ship(shared, job_id, false);
     let hook_shared = Arc::clone(shared);
     JobHandle::detached(
         state,
@@ -535,16 +430,26 @@ fn dispatch_locked(
     )
 }
 
-/// Ship (or re-ship) a registered pending job to the least-loaded live
-/// worker, charging its weight to that endpoint's ledger.  If every worker
-/// is gone the job's handle completes with a panic outcome — there is no
-/// one left to run it.
+/// Ship (or re-ship) a registered pending job to the live worker with the
+/// least per-worker-thread outstanding load, charging the job's weight to
+/// that endpoint's ledger.  If every worker is gone the job's handle
+/// completes with a panic outcome — there is no one left to run it.
 fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
     loop {
-        let Some(job) = lock(&shared.pending).get(&job_id).map(|p| p.job.clone()) else {
+        let Some((job, charge)) = lock(&shared.pending)
+            .get(&job_id)
+            .map(|p| (p.job.clone(), p.weight))
+        else {
             return; // completed (or failed) in the meantime
         };
-        let Some(index) = least_loaded(shared) else {
+        let endpoints = &shared.endpoints;
+        let live =
+            (0..endpoints.len()).filter(|&i| endpoints[i].alive.load(AtomicOrdering::SeqCst));
+        let load = |i: usize| {
+            let endpoint = &endpoints[i];
+            remote_lane_load(*lock(&endpoint.outstanding), endpoint.workers as usize)
+        };
+        let Some(index) = least_loaded(live, load) else {
             let entry = lock(&shared.pending).remove(&job_id);
             if let Some(entry) = entry {
                 entry.state.complete(JobOutcome::Panicked(
@@ -555,7 +460,6 @@ fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
             return;
         };
         let endpoint = &shared.endpoints[index];
-        let charge = shared.model.weigh_job(&job, shared.tolerances);
         {
             let mut pending = lock(&shared.pending);
             let Some(entry) = pending.get_mut(&job_id) else {
@@ -701,7 +605,7 @@ fn complete_job(
             if let Ok(snapshot) = Snapshot::from_json_str(json) {
                 if snapshot.validate().is_ok() {
                     cache.store(
-                        cache_key(&entry.job, shared.tolerances),
+                        job_cache_key(&entry.job, shared.tolerances),
                         None,
                         Some(snapshot),
                     );
@@ -749,7 +653,7 @@ mod tests {
     fn endpoint_addresses_survive_construction() {
         // `connect` is exercised end-to-end in tests/distributed_semantics.rs
         // (it needs a live worker); here pin the pure pieces.
-        let key = cache_key(
+        let key = job_cache_key(
             &BatchJob::new(pagani_integrands::paper::PaperIntegrand::f4(3)),
             Tolerances::rel(1e-4),
         );

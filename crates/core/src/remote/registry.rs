@@ -8,14 +8,12 @@
 //! answered with a `JobFailed` rather than a guess.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use pagani_integrands::paper::PaperIntegrand;
 use pagani_quadrature::Integrand;
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::lock;
 
 /// A name → integrand table shared by the two ends of a wire connection.
 ///

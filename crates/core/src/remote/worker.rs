@@ -14,23 +14,20 @@ use std::io::Write as _;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use pagani_persist::{CacheKey, ResultCache, Snapshot};
+use pagani_persist::{ResultCache, Snapshot};
 use pagani_quadrature::{Region, Termination};
 
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
+use crate::lock;
 use crate::remote::registry::IntegrandRegistry;
 use crate::remote::wire::{
     tag_to_priority, termination_to_tag, Message, WireError, NO_DEADLINE, PROTOCOL_VERSION,
 };
-use crate::service::{panic_message, IntegrationService, JobHandle};
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::service::{job_cache_key, panic_message, IntegrationService, JobHandle};
 
 /// Size of the crash-recovery cache a worker attaches when its builder
 /// carries none: partial snapshots of cancelled/exhausted runs live here so
@@ -53,8 +50,27 @@ struct WorkerShared {
     cache: Arc<ResultCache>,
     shutting_down: AtomicBool,
     connections: Mutex<Vec<Arc<Connection>>>,
-    /// Connection-handler and result-waiter threads, joined at shutdown.
+    /// Connection-handler and result-waiter threads still running, joined
+    /// at shutdown (see [`WorkerShared::track`]).
     threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl WorkerShared {
+    /// Keep `thread` for joining at shutdown, first joining (at once) the
+    /// threads that have already finished — a long-lived worker spawns one
+    /// result waiter per job, so keeping every handle would grow without
+    /// bound.
+    fn track(&self, thread: JoinHandle<()>) {
+        let mut threads = lock(&self.threads);
+        let (finished, running): (Vec<_>, Vec<_>) =
+            threads.drain(..).partition(JoinHandle::is_finished);
+        *threads = running;
+        threads.push(thread);
+        drop(threads);
+        for finished in finished {
+            let _ = finished.join();
+        }
+    }
 }
 
 /// A worker process: one [`IntegrationService`] behind a TCP listener.
@@ -203,7 +219,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<WorkerShared>) {
             .name("pagani-remote-conn".into())
             .spawn(move || connection_loop(&conn_shared, &connection))
             .expect("spawning the remote connection thread");
-        lock(&shared.threads).push(handler);
+        shared.track(handler);
     }
 }
 
@@ -334,32 +350,27 @@ fn handle_submit(shared: &Arc<WorkerShared>, connection: &Arc<Connection>, frame
         Err(_) => return refuse(format!("unknown priority tag {}", frame.priority)),
     };
 
-    // A shipped warm-start snapshot goes into the worker's cache *before*
-    // submission, so the service's ordinary warm-start machinery resumes the
-    // checkpointed tree instead of restarting from scratch.
-    if let Some(json) = &frame.snapshot_json {
-        match Snapshot::from_json_str(json).and_then(|s| s.validate().map(|()| s)) {
-            Ok(snapshot) => {
-                let tolerances = shared.service.config().tolerances;
-                shared.cache.store(
-                    CacheKey::new(&frame.integrand, &lo, &hi, tolerances.rel, tolerances.abs),
-                    None,
-                    Some(snapshot),
-                );
-            }
-            Err(err) => {
-                // A bad snapshot is not fatal — run the job cold.
-                let _ = err;
-            }
-        }
-    }
-
     let mut job = BatchJob::shared(integrand)
         .over(Region::new(lo, hi))
         .with_priority(priority);
     if frame.deadline_micros != NO_DEADLINE {
         job = job.with_deadline(std::time::Duration::from_micros(frame.deadline_micros));
     }
+
+    // A shipped warm-start snapshot goes into the worker's cache *before*
+    // submission, so the service's ordinary warm-start machinery resumes the
+    // checkpointed tree instead of restarting from scratch.  A bad snapshot
+    // is not fatal — the job runs cold.
+    if let Some(json) = &frame.snapshot_json {
+        if let Ok(snapshot) = Snapshot::from_json_str(json).and_then(|s| s.validate().map(|()| s)) {
+            shared.cache.store(
+                job_cache_key(&job, shared.service.config().tolerances),
+                None,
+                Some(snapshot),
+            );
+        }
+    }
+
     let handle = shared.service.submit(job);
     lock(&connection.inflight).insert(job_id, handle.clone());
 
@@ -379,7 +390,7 @@ fn handle_submit(shared: &Arc<WorkerShared>, connection: &Arc<Connection>, frame
             );
         })
         .expect("spawning the remote result-waiter thread");
-    lock(&shared.threads).push(waiter);
+    shared.track(waiter);
 }
 
 /// Block on one job and stream its outcome back, then retire it from the
@@ -437,4 +448,45 @@ fn send(connection: &Connection, message: &Message) -> Result<(), WireError> {
     message.write_to(&mut *writer)?;
     writer.flush()?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PaganiConfig;
+    use pagani_device::Device;
+    use pagani_integrands::paper::PaperIntegrand;
+    use pagani_quadrature::Tolerances;
+
+    #[test]
+    fn finished_result_waiters_are_not_retained() {
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-3));
+        let worker = RemoteWorker::bind(
+            "127.0.0.1:0",
+            ServiceBuilder::new(config.clone()).device(Device::test_small()),
+            Arc::new(IntegrandRegistry::with_paper_suite(2)),
+        )
+        .expect("bind a loopback worker");
+        let frontend = ServiceBuilder::new(config)
+            .endpoint(worker.local_addr().to_string())
+            .build_distributed()
+            .expect("connect the front-end");
+        let jobs = 24;
+        for _ in 0..jobs {
+            assert!(frontend
+                .submit(BatchJob::new(PaperIntegrand::f1(2)))
+                .wait()
+                .result
+                .converged());
+        }
+        // One connection handler plus the waiters that had not yet exited
+        // when the next job arrived — a small constant, not one per job.
+        let retained = lock(&worker.shared.threads).len();
+        assert!(
+            retained <= 4,
+            "{retained} thread handles retained after {jobs} sequential jobs"
+        );
+        frontend.shutdown();
+        worker.shutdown();
+    }
 }

@@ -52,14 +52,13 @@
 //! top of this queue.
 //!
 //! ```
-//! use pagani_core::{BatchJob, IntegrationService, PaganiConfig};
+//! use pagani_core::{BatchJob, PaganiConfig, ServiceBuilder};
 //! use pagani_device::Device;
 //! use pagani_quadrature::{FnIntegrand, Tolerances};
 //!
-//! let service = IntegrationService::new(
-//!     Device::test_small(),
-//!     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-//! );
+//! let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+//!     .device(Device::test_small())
+//!     .build();
 //! let job = BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]));
 //! let handle = service.submit(job);
 //! let output = handle.wait();
@@ -75,19 +74,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pagani_device::Device;
-use pagani_persist::{CacheKey, CachedResult, ResultCache, Snapshot, WarmStartInfo};
+use pagani_persist::{CacheKey, CachedResult, ResultCache};
 use pagani_quadrature::{IntegrationResult, Termination, Tolerances};
 
 use crate::arena::ScratchArena;
 use crate::batch::BatchJob;
+use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
 use crate::cost::{cost_ceiling, CostKey, CostModel, Ewma};
 use crate::driver::{CancelToken, Pagani, PaganiOutput};
+use crate::lock;
 use crate::trace::ExecutionTrace;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Scheduling priority of a job: higher priorities are claimed first, equal
 /// priorities stay in submission (FIFO) order.
@@ -429,6 +426,43 @@ impl Observability {
         }
     }
 
+    /// The admission gate every `try_submit` runs, under the caller's queue
+    /// lock so `queued` stays exact: first capacity (`queued` against
+    /// `queue_bound`), then — for a deadline-carrying job —
+    /// feasibility against `estimated_completion`, which answers `None`
+    /// while the cost model is cold (admission is then optimistic).  A
+    /// refusal is counted here and hands the job back inside [`Rejected`];
+    /// an admitted job is handed back for the caller to enqueue.
+    pub(crate) fn admit(
+        &self,
+        queue_bound: Option<usize>,
+        queued: usize,
+        job: BatchJob,
+        estimated_completion: impl FnOnce(&BatchJob) -> Option<Duration>,
+    ) -> Result<BatchJob, Rejected> {
+        if let Some(bound) = queue_bound {
+            if queued >= bound {
+                self.rejected_queue_full
+                    .fetch_add(1, AtomicOrdering::Relaxed);
+                return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
+            }
+        }
+        if let Some(deadline) = job.deadline() {
+            if let Some(estimated) = estimated_completion(&job) {
+                if estimated > deadline {
+                    self.rejected_deadline_infeasible
+                        .fetch_add(1, AtomicOrdering::Relaxed);
+                    return Err(Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
+                        estimated,
+                        deadline,
+                        job,
+                    })));
+                }
+            }
+        }
+        Ok(job)
+    }
+
     /// Render the counters as a [`ServiceMetrics`] snapshot.
     pub(crate) fn snapshot(&self, queue_depth: usize) -> ServiceMetrics {
         let outstanding_micros = *lock(&self.outstanding_micros);
@@ -763,96 +797,24 @@ pub struct IntegrationService {
 }
 
 impl IntegrationService {
-    /// Start a service on `device`; the worker count defaults to the device's
-    /// effective worker-pool width (more service workers than that buy no
-    /// extra parallelism — the admission gate bounds in-flight jobs anyway).
-    ///
-    /// Thin delegate of [`crate::ServiceBuilder`] — the one construction path
-    /// all three service types share.
-    #[must_use]
-    pub fn new(device: Device, config: PaganiConfig) -> Self {
-        crate::ServiceBuilder::new(config).device(device).build()
-    }
-
-    /// Start a service with an explicit worker-thread count (minimum 1).
-    #[must_use]
-    pub fn with_workers(device: Device, config: PaganiConfig, workers: usize) -> Self {
-        crate::ServiceBuilder::new(config)
-            .device(device)
-            .workers(workers)
-            .build()
-    }
-
-    /// Start a service with an explicit [`ServicePolicy`].
-    #[must_use]
-    pub fn with_policy(device: Device, config: PaganiConfig, policy: ServicePolicy) -> Self {
-        crate::ServiceBuilder::new(config)
-            .device(device)
-            .policy(policy)
-            .build()
-    }
-
-    /// Start a service backed by a shared [`ResultCache`].
-    ///
-    /// With a cache attached the default job path changes in three ways (all
-    /// invisible to callers except in wall time and [`ServiceMetrics`]):
-    ///
-    /// 1. an **exact hit** — same integrand name, region and tolerance as a
-    ///    cached converged run — is served without touching the device;
-    /// 2. a **miss with a usable snapshot** for the same integrand and region
-    ///    (any tolerance) *warm-starts* from that snapshot's region tree
-    ///    instead of the root, provided the snapshot's frozen error leaves
-    ///    headroom under this job's budget;
-    /// 3. every run **persists** its final tree — converged trees for future
-    ///    warm starts, partial trees from cancelled/deadline-shed runs so a
-    ///    retry continues rather than recomputes.
-    ///
-    /// Deadline admission prices jobs by *remaining* work: an exact hit costs
-    /// nothing, a feasible warm start costs its full prediction minus the
-    /// snapshot's predicted-work credit.
-    ///
-    /// Cache identity is `Integrand::name()` — callers mixing distinct
-    /// closures through one cached service must name them uniquely
-    /// (`FnIntegrand::named`).  Jobs with a per-job method override bypass
-    /// the cache entirely: the cache key cannot see the override's
-    /// configuration.
-    #[must_use]
-    pub fn with_cache(
-        device: Device,
-        config: PaganiConfig,
-        policy: ServicePolicy,
-        cache: Arc<ResultCache>,
-    ) -> Self {
-        crate::ServiceBuilder::new(config)
-            .device(device)
-            .policy(policy)
-            .cache(cache)
-            .build()
-    }
-
-    /// Start a service sharing an externally owned [`CostModel`] (and
-    /// optionally a [`ResultCache`]) — the multi-device dispatcher passes one
-    /// of each to every lane so buckets pool their learning and results
-    /// across devices.
-    #[must_use]
-    pub(crate) fn with_policy_and_model(
-        device: Device,
-        config: PaganiConfig,
-        policy: ServicePolicy,
-        cost_model: Arc<CostModel>,
-        cache: Option<Arc<ResultCache>>,
-    ) -> Self {
-        let worker_count = policy
-            .workers
+    /// The one construction path, fed by [`ServiceBuilder::build`] (which
+    /// checked for exactly one device).  The worker count defaults to the
+    /// device's effective worker-pool width: more service workers than that
+    /// buy no extra parallelism — the admission gate bounds in-flight jobs
+    /// anyway.  Multi-device lanes are built here too, each sharing the
+    /// pool's cost model and cache.
+    pub(crate) fn from_builder(mut builder: ServiceBuilder) -> Self {
+        let device = builder.devices.pop().expect("build() checked the device");
+        let worker_count = (builder.policy.workers)
             .unwrap_or_else(|| device.effective_workers())
             .max(1);
         let shared = Arc::new(ServiceShared {
             device,
-            config,
-            policy,
+            config: builder.config,
+            policy: builder.policy,
             worker_count,
-            cost_model,
-            cache,
+            cost_model: builder.model.unwrap_or_else(|| Arc::new(CostModel::new())),
+            cache: builder.cache,
             obs: Observability::new(),
             queue: Mutex::new(QueueState {
                 jobs: BinaryHeap::new(),
@@ -944,15 +906,14 @@ impl IntegrationService {
     /// this and handles the `Err`.
     ///
     /// ```
-    /// use pagani_core::{BatchJob, IntegrationService, PaganiConfig, Rejected, ServicePolicy};
+    /// use pagani_core::{BatchJob, PaganiConfig, Rejected, ServiceBuilder};
     /// use pagani_device::Device;
     /// use pagani_quadrature::{FnIntegrand, Tolerances};
     ///
-    /// let service = IntegrationService::with_policy(
-    ///     Device::test_small(),
-    ///     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-    ///     ServicePolicy::new().with_queue_bound(4),
-    /// );
+    /// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+    ///     .device(Device::test_small())
+    ///     .queue_bound(4)
+    ///     .build();
     /// let job = BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]));
     /// match service.try_submit(job) {
     ///     Ok(handle) => assert!(handle.wait().result.converged()),
@@ -982,30 +943,12 @@ impl IntegrationService {
         on_complete: Option<CompletionHook>,
     ) -> Result<JobHandle, Rejected> {
         let queue = lock(&self.shared.queue);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            if queue.jobs.len() >= bound {
-                self.shared
-                    .obs
-                    .rejected_queue_full
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
-            }
-        }
-        if let Some(deadline) = job.deadline() {
-            if let Some(estimated) = self.estimated_completion(&job) {
-                if estimated > deadline {
-                    self.shared
-                        .obs
-                        .rejected_deadline_infeasible
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                    return Err(Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
-                        estimated,
-                        deadline,
-                        job,
-                    })));
-                }
-            }
-        }
+        let job = self.shared.obs.admit(
+            self.shared.policy.queue_bound,
+            queue.jobs.len(),
+            job,
+            |job| self.estimated_completion(job),
+        )?;
         Ok(self.enqueue(queue, job, on_complete))
     }
 
@@ -1025,9 +968,11 @@ impl IntegrationService {
     pub fn estimated_completion(&self, job: &BatchJob) -> Option<Duration> {
         let own = self.predicted_remaining(job)?;
         let outstanding_micros = *lock(&self.shared.obs.outstanding_micros);
-        let backlog =
-            Duration::from_secs_f64(outstanding_micros / 1e6 / self.shared.worker_count as f64);
-        Some(backlog + own)
+        Some(completion_after_backlog(
+            own,
+            outstanding_micros,
+            self.shared.worker_count,
+        ))
     }
 
     /// The job's predicted duration, discounted by what the cache already
@@ -1044,14 +989,18 @@ impl IntegrationService {
         if job.method().is_some() {
             return Some(full);
         }
-        let key = job_cache_key(&self.shared, job);
+        let key = job_cache_key(job, self.shared.config.tolerances);
         if cache.contains_result(&key) {
             return Some(Duration::ZERO);
         }
         let info =
             cache.peek_warm_start(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits);
         if let Some(info) = info {
-            if warm_info_feasible(&info, self.shared.config.tolerances) {
+            if warm_start_feasible(
+                info.latest_estimate,
+                info.finished_error,
+                self.shared.config.tolerances,
+            ) {
                 // Work banked at the snapshot's own tolerance is work this job
                 // will not redo.  Keep a 10% floor: resuming still re-runs the
                 // snapshot's final generation and the tail of refinement.
@@ -1074,14 +1023,13 @@ impl IntegrationService {
     /// A point-in-time [`ServiceMetrics`] snapshot.
     ///
     /// ```
-    /// use pagani_core::{BatchJob, IntegrationService, PaganiConfig, Priority};
+    /// use pagani_core::{BatchJob, PaganiConfig, Priority, ServiceBuilder};
     /// use pagani_device::Device;
     /// use pagani_quadrature::{FnIntegrand, Tolerances};
     ///
-    /// let service = IntegrationService::new(
-    ///     Device::test_small(),
-    ///     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-    /// );
+    /// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+    ///     .device(Device::test_small())
+    ///     .build();
     /// let job = BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]));
     /// service.submit(job).wait();
     ///
@@ -1109,14 +1057,13 @@ impl IntegrationService {
     ///
     /// ```
     /// use std::time::Duration;
-    /// use pagani_core::{CostKey, IntegrationService, PaganiConfig};
+    /// use pagani_core::{CostKey, PaganiConfig, ServiceBuilder};
     /// use pagani_device::Device;
     /// use pagani_quadrature::Tolerances;
     ///
-    /// let service = IntegrationService::new(
-    ///     Device::test_small(),
-    ///     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-    /// );
+    /// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+    ///     .device(Device::test_small())
+    ///     .build();
     /// let key = CostKey::new("warmup", 2, Tolerances::rel(1e-6));
     /// service.cost_model().record(&key, Duration::from_millis(5));
     /// assert_eq!(service.cost_model().observations(), 1);
@@ -1357,7 +1304,7 @@ fn run_job(
     // memory view exists, so a hit performs zero device launches.
     if job.method().is_none() {
         if let Some(cache) = &shared.cache {
-            let key = job_cache_key(shared, job);
+            let key = job_cache_key(job, shared.config.tolerances);
             if let Some(hit) = cache.lookup_result(&key) {
                 shared.obs.cache_hits.fetch_add(1, AtomicOrdering::Relaxed);
                 shared
@@ -1426,10 +1373,16 @@ fn run_cached_job(
     job: &BatchJob,
     cancel: &CancelToken,
 ) -> PaganiOutput {
-    let key = job_cache_key(shared, job);
+    let key = job_cache_key(job, shared.config.tolerances);
     let warm = cache
         .lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
-        .filter(|snap| warm_start_feasible(snap, shared.config.tolerances));
+        .filter(|snap| {
+            warm_start_feasible(
+                snap.latest_estimate,
+                snap.finished_error,
+                shared.config.tolerances,
+            )
+        });
     let resumable = match warm {
         Some(snapshot) => match pagani.resume_from(job.integrand(), &snapshot, arena, cancel) {
             Ok(out) => {
@@ -1462,10 +1415,10 @@ fn run_cached_job(
 }
 
 /// The cache key of a default-path job: integrand name, region corners and
-/// the service-wide tolerances (per-job method overrides never reach the
-/// cache).
-fn job_cache_key(shared: &ServiceShared, job: &BatchJob) -> CacheKey {
-    let tolerances = shared.config.tolerances;
+/// the service-wide `tolerances` (per-job method overrides never reach the
+/// cache).  The one key builder: local lanes, the distributed front-end and
+/// remote workers all file results and snapshots under it.
+pub(crate) fn job_cache_key(job: &BatchJob, tolerances: Tolerances) -> CacheKey {
     CacheKey::new(
         &job.integrand().name(),
         job.region().lo(),
@@ -1475,20 +1428,29 @@ fn job_cache_key(shared: &ServiceShared, job: &BatchJob) -> CacheKey {
     )
 }
 
-/// Whether a snapshot can still converge under `tolerances`: its frozen
-/// finished error must leave at least half the allowed total error as
-/// headroom for the regions still being refined.  A snapshot from a looser
-/// run may have committed more error than a tighter budget allows — resuming
-/// it could never converge, so such jobs run cold instead.
-pub(crate) fn warm_start_feasible(snapshot: &Snapshot, tolerances: Tolerances) -> bool {
-    let allowed = (snapshot.latest_estimate.abs() * tolerances.rel).max(tolerances.abs);
-    snapshot.finished_error <= 0.5 * allowed
+/// Whether a snapshot (or the cache's non-bumping peek summary of one) can
+/// still converge under `tolerances`: its frozen `finished_error` must leave
+/// at least half the allowed total error as headroom for the regions still
+/// being refined.  A snapshot from a looser run may have committed more
+/// error than a tighter budget allows — resuming it could never converge,
+/// so such jobs run cold instead.
+fn warm_start_feasible(latest_estimate: f64, finished_error: f64, tolerances: Tolerances) -> bool {
+    let allowed = (latest_estimate.abs() * tolerances.rel).max(tolerances.abs);
+    finished_error <= 0.5 * allowed
 }
 
-/// [`warm_start_feasible`] over the cache's non-bumping peek summary.
-fn warm_info_feasible(info: &WarmStartInfo, tolerances: Tolerances) -> bool {
-    let allowed = (info.latest_estimate.abs() * tolerances.rel).max(tolerances.abs);
-    info.finished_error <= 0.5 * allowed
+/// Predicted completion from now of a job predicted to take `own`, queued
+/// behind `outstanding_micros` of predicted work shared across `workers`
+/// threads — the backlog formula of every service's
+/// `estimated_completion`.  The backlog is clamped to `[0, 10⁹ s]` so an
+/// absurd ledger can never overflow a [`Duration`].
+pub(crate) fn completion_after_backlog(
+    own: Duration,
+    outstanding_micros: f64,
+    workers: usize,
+) -> Duration {
+    Duration::from_secs_f64((outstanding_micros / 1e6 / workers.max(1) as f64).clamp(0.0, 1e9))
+        + own
 }
 
 /// Rehydrate a cached converged result into a job output.  The trace is
@@ -1608,7 +1570,9 @@ mod tests {
                 .with_memory_capacity(32 << 20)
                 .with_worker_threads(workers),
         );
-        IntegrationService::new(device, PaganiConfig::test_small(Tolerances::rel(1e-4)))
+        ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-4)))
+            .device(device)
+            .build()
     }
 
     #[test]
@@ -1712,11 +1676,12 @@ mod tests {
                 1.0
             })
         };
-        let service = IntegrationService::with_workers(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-            1,
-        );
+        let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-3)))
+            .device(Device::new(
+                DeviceConfig::test_small().with_worker_threads(1),
+            ))
+            .workers(1)
+            .build();
         let _running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1749,11 +1714,12 @@ mod tests {
             }
             1.0
         });
-        let service = IntegrationService::with_policy(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-            ServicePolicy::new().with_workers(1).with_queue_bound(2),
-        );
+        let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-3)))
+            .device(Device::new(
+                DeviceConfig::test_small().with_worker_threads(1),
+            ))
+            .policy(ServicePolicy::new().with_workers(1).with_queue_bound(2))
+            .build();
         // The blocker is *claimed* (not queued) once the worker picks it up.
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
@@ -1802,11 +1768,12 @@ mod tests {
             }
             1.0
         });
-        let service = IntegrationService::with_policy(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-            ServicePolicy::new().with_workers(1).with_queue_bound(1),
-        );
+        let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-3)))
+            .device(Device::new(
+                DeviceConfig::test_small().with_worker_threads(1),
+            ))
+            .policy(ServicePolicy::new().with_workers(1).with_queue_bound(1))
+            .build();
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1852,11 +1819,12 @@ mod tests {
             std::thread::sleep(Duration::from_micros(200));
             (x[0] * x[1] * x[2]).sin().mul_add(0.1, 1.0)
         });
-        let service = IntegrationService::with_workers(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-12)),
-            1,
-        );
+        let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-12)))
+            .device(Device::new(
+                DeviceConfig::test_small().with_worker_threads(1),
+            ))
+            .workers(1)
+            .build();
         let handle = service.submit(BatchJob::new(slow).with_deadline(Duration::from_millis(50)));
         let output = handle.wait();
         assert_eq!(output.result.termination, Termination::Cancelled);
@@ -1879,11 +1847,12 @@ mod tests {
             }
             1.0
         });
-        let service = IntegrationService::with_workers(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-4)),
-            1,
-        );
+        let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-4)))
+            .device(Device::new(
+                DeviceConfig::test_small().with_worker_threads(1),
+            ))
+            .workers(1)
+            .build();
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();

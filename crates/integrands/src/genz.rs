@@ -203,8 +203,25 @@ impl Integrand for GenzIntegrand {
         }
     }
 
+    /// `genz-{family}-{d}d-a{bits}-u{bits}`, every parameter spelled as its
+    /// exact `f64` bit pattern in hex: the name is the integrand's cache key
+    /// and wire identity, so two instances share it only when they are the
+    /// same function.
     fn name(&self) -> String {
-        format!("genz-{:?}-{}d", self.family, self.a.len())
+        let bits = |params: &[f64]| {
+            params
+                .iter()
+                .map(|p| format!("{:016x}", p.to_bits()))
+                .collect::<Vec<_>>()
+                .join(".")
+        };
+        format!(
+            "genz-{:?}-{}d-a{}-u{}",
+            self.family,
+            self.a.len(),
+            bits(&self.a),
+            bits(&self.u)
+        )
     }
 }
 

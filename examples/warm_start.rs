@@ -1,8 +1,9 @@
 //! The persistence layer end to end: cold run → free exact hit → warm-started
 //! tighter-tolerance run.
 //!
-//! A service built with [`IntegrationService::with_cache`] persists every
-//! converged region tree into a shared [`ResultCache`].  Resubmitting the same
+//! A service built by [`ServiceBuilder`] with a [`ResultCache`] attached
+//! (`ServiceBuilder::cache`) persists every converged region tree into that
+//! shared cache.  Resubmitting the same
 //! request is then served from the cache without touching the device, and a
 //! *tighter*-tolerance request for the same integral resumes from the cached
 //! snapshot instead of rebuilding the tree from the root — the evaluations

@@ -52,17 +52,18 @@
 //!
 //! ## Serving traffic: the integration service
 //!
-//! [`IntegrationService`] keeps resident workers fed from a FIFO queue:
+//! [`IntegrationService`] keeps resident workers fed from a priority queue:
 //! `submit` returns a [`JobHandle`] immediately, handles support polling,
 //! blocking waits and cooperative cancellation, and completed results are
-//! bit-identical to sequential `Pagani::integrate` runs:
+//! bit-identical to sequential `Pagani::integrate` runs.  Every service is
+//! built by [`ServiceBuilder`] (see below):
 //!
 //! ```
 //! use pagani::prelude::*;
 //!
 //! let device = Device::test_small();
 //! let config = PaganiConfig::test_small(Tolerances::rel(1e-5));
-//! let service = IntegrationService::new(device, config);
+//! let service = ServiceBuilder::new(config).device(device).build();
 //! let handle = service.submit(BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1])));
 //! assert!(handle.wait().result.converged());
 //! service.shutdown();
@@ -70,9 +71,11 @@
 //!
 //! ## Batch execution
 //!
-//! For a fixed set of independent integrals, [`integrate_batch`] is
-//! submit-all-then-wait sugar over the service.  Results are bit-identical to
-//! running the same jobs sequentially:
+//! For a fixed set of independent integrals on one device,
+//! [`integrate_batch`] is submit-all-then-wait sugar over a transient
+//! service (over a device pool, `MultiDeviceService::integrate_batch` plans
+//! placement up front).  Results are bit-identical to running the same jobs
+//! sequentially:
 //!
 //! ```
 //! use pagani::prelude::*;
@@ -93,7 +96,7 @@
 //!
 //! ## One builder, three services
 //!
-//! [`ServiceBuilder`] is the single construction surface for every service
+//! [`ServiceBuilder`] is the only construction surface for every service
 //! shape: `build()` for a one-device [`IntegrationService`], `build_multi()`
 //! for a cost-balanced [`MultiDeviceService`], and (given
 //! `endpoint(..)` addresses of [`RemoteWorker`] processes)
@@ -173,12 +176,12 @@ pub mod prelude {
         QmcConfig, TwoPhase, TwoPhaseConfig,
     };
     pub use pagani_core::{
-        integrate_batch, BatchJob, BatchRunner, CancelToken, Capabilities, CostKey, CostModel,
-        DispatchMode, DistributedService, HeuristicFiltering, IntegrandRegistry,
-        IntegrationService, Integrator, IntegratorFactory, JobHandle, MultiDeviceOutput,
-        MultiDevicePagani, MultiDeviceService, Pagani, PaganiConfig, PaganiOutput, Priority,
-        QueueFull, Rejected, RemoteWorker, ResultCache, ScratchArena, ServiceBuilder,
-        ServiceMetrics, ServicePolicy, Snapshot, WaitStats,
+        integrate_batch, BatchJob, CancelToken, Capabilities, CostKey, CostModel, DispatchMode,
+        DistributedService, HeuristicFiltering, IntegrandRegistry, IntegrationService, Integrator,
+        IntegratorFactory, JobHandle, MultiDeviceOutput, MultiDevicePagani, MultiDeviceService,
+        Pagani, PaganiConfig, PaganiOutput, Priority, QueueFull, Rejected, RemoteWorker,
+        ResultCache, ScratchArena, ServiceBuilder, ServiceMetrics, ServicePolicy, Snapshot,
+        WaitStats,
     };
     pub use pagani_device::{ComputeBackend, Device, DeviceConfig};
     pub use pagani_integrands::paper::PaperIntegrand;
@@ -211,8 +214,9 @@ mod tests {
         let integrator = IntegratorBuilder::pagani(PaganiConfig::test_small(Tolerances::rel(1e-6)))
             .build(&device);
         assert!(integrator.integrate(&f).converged());
-        let service =
-            IntegrationService::new(device, PaganiConfig::test_small(Tolerances::rel(1e-6)));
+        let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+            .device(device)
+            .build();
         let handle = service.submit(BatchJob::new(f));
         assert!(handle.wait().result.converged());
         service.shutdown();

@@ -127,15 +127,30 @@ fn service_handles_are_bit_identical_to_sequential() {
     }
 }
 
+/// Submit every job to `service`, then wait for all of them in job order.
+fn submit_and_wait(service: &IntegrationService, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
+    let handles: Vec<JobHandle> = jobs.iter().map(|job| service.submit(job.clone())).collect();
+    handles.iter().map(JobHandle::wait).collect()
+}
+
 #[test]
 fn repeated_batches_on_one_runner_are_bit_identical() {
     // Arena recycling across runs must not leak state into results: the
-    // second batch on the same runner must reproduce the first bit for bit.
+    // second batch on the same service must reproduce the first bit for bit.
     let jobs_src = workload();
     let jobs = jobs_for(&jobs_src);
-    let runner = BatchRunner::new(device_with_workers(2), config());
-    let first: Vec<Fingerprint> = runner.run(&jobs).iter().map(fingerprint).collect();
-    let second: Vec<Fingerprint> = runner.run(&jobs).iter().map(fingerprint).collect();
+    let service = ServiceBuilder::new(config())
+        .device(device_with_workers(2))
+        .build();
+    let first: Vec<Fingerprint> = submit_and_wait(&service, &jobs)
+        .iter()
+        .map(fingerprint)
+        .collect();
+    let second: Vec<Fingerprint> = submit_and_wait(&service, &jobs)
+        .iter()
+        .map(fingerprint)
+        .collect();
+    service.shutdown();
     assert_eq!(first, second);
 }
 
@@ -147,9 +162,12 @@ fn oversubscribed_concurrency_is_gated_not_oversubscribed() {
     let jobs = jobs_for(&jobs_src);
     let device = device_with_workers(2);
     assert_eq!(device.submission_gate().capacity(), 2);
-    let gated = BatchRunner::new(device.clone(), config())
-        .with_concurrency(16)
-        .run(&jobs);
+    let service = ServiceBuilder::new(config())
+        .device(device.clone())
+        .workers(16)
+        .build();
+    let gated = submit_and_wait(&service, &jobs);
+    service.shutdown();
     let pagani = Pagani::new(device.clone(), config());
     for (f, out) in jobs_src.iter().zip(&gated) {
         assert_eq!(
@@ -170,12 +188,15 @@ fn multi_device_batch_matches_single_device_batch() {
             .iter()
             .map(fingerprint)
             .collect();
-    let multi = MultiDevicePagani::new((0..3).map(|_| device_with_workers(2)).collect(), config());
+    let multi = ServiceBuilder::new(config())
+        .devices((0..3).map(|_| device_with_workers(2)))
+        .build_multi();
     let sharded: Vec<Fingerprint> = multi
         .integrate_batch(&jobs)
         .iter()
         .map(fingerprint)
         .collect();
+    multi.shutdown();
     assert_eq!(
         single, sharded,
         "sharding jobs across devices changed results"

@@ -145,7 +145,11 @@ fn remote_results_are_bit_identical_to_local_runs() {
         assert_eq!(frontend.endpoint_count(), 2);
         assert_eq!(frontend.endpoints_alive(), 2);
 
-        let remote_outputs = frontend.integrate_batch(&mixed_batch());
+        let handles: Vec<JobHandle> = mixed_batch()
+            .into_iter()
+            .map(|job| frontend.submit(job))
+            .collect();
+        let remote_outputs: Vec<PaganiOutput> = handles.iter().map(JobHandle::wait).collect();
         let metrics = frontend.metrics();
         assert_eq!(metrics.completed, local_outputs.len() as u64);
         assert!(
@@ -202,6 +206,44 @@ fn an_oversized_job_slab_splits_and_matches_the_in_process_fold() {
     frontend.shutdown();
     worker_a.shutdown();
     worker_b.shutdown();
+}
+
+#[test]
+fn slabs_are_sized_for_the_smallest_live_worker() {
+    // A mixed fleet: one 1 MiB worker and one 64 MiB worker.  dim-5 at 1e-6
+    // estimates to ~4 MiB, which fits the big box whole — but least-loaded
+    // dispatch may hand any wire job to the small one, so the job must be
+    // cut into slabs sized for the smallest worker.
+    let tight = PaganiConfig::test_small(Tolerances::rel(1e-6));
+    let registry = paper_registry();
+    let small = spawn_worker(
+        tight.clone(),
+        Device::new(DeviceConfig::test_small().with_memory_capacity(1 << 20)),
+        &registry,
+    );
+    let big = spawn_worker(
+        tight.clone(),
+        Device::new(DeviceConfig::test_small().with_memory_capacity(64 << 20)),
+        &registry,
+    );
+    let frontend = ServiceBuilder::new(tight)
+        .endpoint(small.local_addr().to_string())
+        .endpoint(big.local_addr().to_string())
+        .build_distributed()
+        .expect("connect the front-end");
+
+    let out = frontend.submit(BatchJob::new(PaperIntegrand::f4(5))).wait();
+    let metrics = frontend.metrics();
+    assert!(
+        metrics.remote_dispatched >= 2,
+        "the job must slab-split for the 1 MiB worker, dispatched {}",
+        metrics.remote_dispatched
+    );
+    assert!(out.result.estimate.is_finite());
+
+    frontend.shutdown();
+    small.shutdown();
+    big.shutdown();
 }
 
 #[test]

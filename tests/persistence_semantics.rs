@@ -18,6 +18,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use pagani::integrands::genz::{GenzFamily, GenzIntegrand};
 use pagani::persist::SNAPSHOT_FORMAT_VERSION;
 use pagani::prelude::*;
 use pagani::{CountingBackend, CpuBackend};
@@ -407,5 +408,38 @@ fn multi_device_pool_shares_one_cache() {
     let hits: u64 = totals.iter().map(|m| m.cache_hits).sum();
     assert_eq!(hits, 1);
     assert!(service.result_cache().is_some());
+    service.shutdown();
+}
+
+#[test]
+fn genz_instances_that_differ_only_in_parameters_never_share_a_cache_entry() {
+    // Same family and dimension, different `a` and `u`: the cache identity
+    // is the integrand's name, so the name must carry the parameters or the
+    // second job would be served the first one's answer.
+    let gaussian =
+        |a: [f64; 2], u: [f64; 2]| GenzIntegrand::new(GenzFamily::Gaussian, a.to_vec(), u.to_vec());
+    let config = PaganiConfig::test_small(Tolerances::rel(1e-5));
+    let direct = Pagani::new(device_with_workers(2), config.clone())
+        .integrate(&gaussian([5.0, 1.0], [0.3, 0.7]));
+    let service = ServiceBuilder::new(config)
+        .device(device_with_workers(2))
+        .cache(Arc::new(ResultCache::new(1 << 20)))
+        .build();
+    let first = service
+        .submit(BatchJob::new(gaussian([2.0, 3.0], [0.5, 0.5])))
+        .wait();
+    let second = service
+        .submit(BatchJob::new(gaussian([5.0, 1.0], [0.3, 0.7])))
+        .wait();
+    assert_ne!(
+        first.result.estimate.to_bits(),
+        second.result.estimate.to_bits()
+    );
+    assert_eq!(
+        second.result.estimate.to_bits(),
+        direct.result.estimate.to_bits(),
+        "the second Genz instance was served another instance's answer"
+    );
+    assert_eq!(service.metrics().cache_hits, 0);
     service.shutdown();
 }
