@@ -4,8 +4,8 @@
 //! [`MultiDeviceService`] (N in-process lanes), and now the distributed
 //! front-end [`DistributedService`] — and each growth step used to add
 //! another `with_*` constructor to every type.  [`ServiceBuilder`] replaces
-//! that constructor zoo: collect devices, a [`ServicePolicy`], a
-//! [`DispatchMode`], an optional [`ResultCache`], an optional shared
+//! that constructor zoo: collect devices, a queue bound and worker count
+//! (the [`ServicePolicy`]), a [`DispatchMode`], an optional [`ResultCache`], an optional shared
 //! [`CostModel`] and (for the distributed service) remote worker endpoints,
 //! then call the `build_*` method matching the topology you want.  It is
 //! the only way to construct any of the three.
@@ -96,26 +96,20 @@ impl ServiceBuilder {
         self
     }
 
-    /// Use an explicit [`ServicePolicy`] (queue bound + worker count).
-    #[must_use]
-    pub fn policy(mut self, policy: ServicePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Bound the submission queue (per lane; at the front-end for the
-    /// distributed service) — sugar for [`ServicePolicy::with_queue_bound`].
+    /// Bound the submission queue at `bound` unclaimed jobs (minimum 1) —
+    /// per lane, or at the front-end for the distributed service.  Sets
+    /// [`ServicePolicy::queue_bound`].
     #[must_use]
     pub fn queue_bound(mut self, bound: usize) -> Self {
-        self.policy = self.policy.with_queue_bound(bound);
+        self.policy.queue_bound = Some(bound.max(1));
         self
     }
 
-    /// Use an explicit worker-thread count per lane — sugar for
-    /// [`ServicePolicy::with_workers`].
+    /// Use an explicit worker-thread count per lane (minimum 1).  Sets
+    /// [`ServicePolicy::workers`].
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.policy = self.policy.with_workers(workers);
+        self.policy.workers = Some(workers.max(1));
         self
     }
 

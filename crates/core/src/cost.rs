@@ -36,7 +36,8 @@
 //! (also pinned in `tests/scheduling_semantics.rs`).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pagani_quadrature::{Region, Tolerances};
@@ -49,10 +50,10 @@ use crate::lock;
 ///
 /// Costs and weights are **integer-valued finite f64 values in
 /// `[1, cost_ceiling()]`**.  The bounds are load-bearing for the
-/// outstanding-cost ledgers, which charge a job's weight on dispatch and
-/// retire it on completion: sums of integers this size stay far below `2⁵³`,
-/// so `+=` followed by `-=` cancels exactly and a ledger can neither drift
-/// negative through f64 absorption nor turn NaN through `inf - inf`.
+/// outstanding-cost ledgers, which hold a job's weight from dispatch to
+/// completion as a whole number of work units: every charge converts to a
+/// `u64` without loss, and the sum of any realistic number of them fits in
+/// an `AtomicU64` with room to spare.
 #[must_use]
 pub fn cost_ceiling() -> f64 {
     (40.0f64).exp2()
@@ -89,8 +90,8 @@ pub fn cost_ceiling() -> f64 {
 /// let huge = estimated_cost(1000, Tolerances::rel(1e-12));
 /// assert_eq!(huge, cost_ceiling());
 ///
-/// // The floor is 1, and every cost is integer-valued (fract() == 0), so
-/// // charge/retire cycles cancel exactly in f64 arithmetic.
+/// // The floor is 1, and every cost is integer-valued (fract() == 0), so it
+/// // converts to whole ledger units without loss.
 /// let tiny = estimated_cost(1, Tolerances::rel(1e-1));
 /// assert!(tiny >= 1.0);
 /// assert_eq!(tiny.fract(), 0.0);
@@ -226,6 +227,63 @@ pub(crate) fn least_loaded(
         .map(|i| (i, load(i)))
         .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(i, _)| i)
+}
+
+/// An outstanding-work ledger: the sum, in whole work units, of the
+/// [`Charge`]s currently held against it.  Every front-end keeps its
+/// backlogs here — each service's predicted-time backlog (microseconds),
+/// each multi-device lane's and each remote endpoint's dispatch weights.
+///
+/// Every amount charged is an integer-valued f64 in `[0, `[`cost_ceiling`]`]`
+/// (weights, [`slab_weights`] shares and whole-microsecond predictions all
+/// are), so the ledger is an exact integer sum in one atomic — no lock, no
+/// f64 drift — and a charge retires exactly what it added when its guard is
+/// dropped.  An idle ledger therefore reads exactly `0.0`.
+///
+/// The atomic publishes no other data, so `Relaxed` suffices: where a charge
+/// must be seen together with other state — admission reading the backlog
+/// under the queue lock, a waiter seeing a completed job's charges retired —
+/// the mutex both sides hold orders it.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    units: AtomicU64,
+}
+
+impl Ledger {
+    /// Add `amount` to the ledger until the returned guard is dropped.
+    pub(crate) fn charge(self: &Arc<Self>, amount: f64) -> Charge {
+        debug_assert!(
+            (0.0..=cost_ceiling()).contains(&amount) && amount.fract() == 0.0,
+            "ledger charges are integer-valued f64s in [0, 2^40], got {amount}"
+        );
+        let units = amount as u64;
+        self.units.fetch_add(units, AtomicOrdering::Relaxed);
+        Charge {
+            ledger: Arc::clone(self),
+            units,
+        }
+    }
+
+    /// The outstanding total right now.
+    pub(crate) fn total(&self) -> f64 {
+        self.units.load(AtomicOrdering::Relaxed) as f64
+    }
+}
+
+/// One amount held against a [`Ledger`]; dropping it retires the amount.
+#[derive(Debug)]
+#[must_use = "dropping a charge retires it at once"]
+pub(crate) struct Charge {
+    ledger: Arc<Ledger>,
+    units: u64,
+}
+
+impl Drop for Charge {
+    fn drop(&mut self) {
+        self.ledger
+            .units
+            .fetch_sub(self.units, AtomicOrdering::Relaxed);
+    }
 }
 
 /// An exponentially-weighted moving average: `value ← α·x + (1-α)·value`,
@@ -530,6 +588,7 @@ impl CostModel {
 mod tests {
     use super::*;
     use pagani_integrands::paper::PaperIntegrand;
+    use proptest::prelude::*;
 
     fn key(family: &str) -> CostKey {
         CostKey::new(family, 3, Tolerances::rel(1e-4))
@@ -636,6 +695,41 @@ mod tests {
         let tighter = CostKey::for_job(&job, Tolerances::rel(1e-8));
         assert_eq!(tighter.digits, 8);
         assert_eq!(default_key.family, job.integrand().name());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Invariant 5: charges of any size in `[0, 2⁴⁰]`, retired in any
+        /// order from several threads at once, leave the ledger at exactly
+        /// zero — and while held, it reads exactly their sum.
+        #[test]
+        fn prop_ledger_returns_to_exactly_zero(
+            amounts in collection::vec(0u64..=(1u64 << 40), 1..48),
+            order_keys in collection::vec(0u64..u64::MAX, 48..49),
+            threads in 1usize..=4,
+        ) {
+            let ledger = Arc::new(Ledger::default());
+            let mut charges: Vec<(u64, Charge)> = amounts
+                .iter()
+                .zip(&order_keys)
+                .map(|(&amount, &key)| (key, ledger.charge(amount as f64)))
+                .collect();
+            let sum: u64 = amounts.iter().sum();
+            prop_assert_eq!(ledger.total(), sum as f64);
+            // A random retirement order, dealt round-robin to the threads.
+            charges.sort_by_key(|&(key, _)| key);
+            let mut hands: Vec<Vec<Charge>> = (0..threads).map(|_| Vec::new()).collect();
+            for (i, (_, charge)) in charges.into_iter().enumerate() {
+                hands[i % threads].push(charge);
+            }
+            std::thread::scope(|scope| {
+                for hand in hands {
+                    scope.spawn(move || drop(hand));
+                }
+            });
+            prop_assert_eq!(ledger.total().to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -234,26 +234,7 @@ impl Pagani {
         arena: &ScratchArena,
         cancel: &CancelToken,
     ) -> PaganiOutput {
-        ensure_matching_dims(f, region);
-        let start = Instant::now();
-        match self.start_list(f.dim(), region, arena) {
-            Ok(list) => {
-                let init = LoopInit::fresh(list.len() as u64);
-                self.run_from(f, arena, cancel, list, init, None, start)
-                    .output
-            }
-            Err(err) => self.bail_out(
-                0.0,
-                0.0,
-                Termination::MemoryExhausted,
-                0,
-                0,
-                0,
-                start,
-                ExecutionTrace::default(),
-                Some(err),
-            ),
-        }
+        self.run_fresh(f, region, arena, cancel, None).output
     }
 
     /// Integrate `f` over an explicit region while capturing resumable
@@ -281,34 +262,12 @@ impl Pagani {
         cancel: &CancelToken,
         checkpoint_every: usize,
     ) -> ResumableOutput {
-        ensure_matching_dims(f, region);
-        let start = Instant::now();
         let plan = SnapshotPlan {
             checkpoint_every,
             integrand_id: f.name(),
             region,
         };
-        match self.start_list(f.dim(), region, arena) {
-            Ok(list) => {
-                let init = LoopInit::fresh(list.len() as u64);
-                self.run_from(f, arena, cancel, list, init, Some(&plan), start)
-            }
-            Err(err) => ResumableOutput {
-                output: self.bail_out(
-                    0.0,
-                    0.0,
-                    Termination::MemoryExhausted,
-                    0,
-                    0,
-                    0,
-                    start,
-                    ExecutionTrace::default(),
-                    Some(err),
-                ),
-                checkpoints: Vec::new(),
-                final_snapshot: None,
-            },
-        }
+        self.run_fresh(f, region, arena, cancel, Some(&plan))
     }
 
     /// Resume an integration from a [`Snapshot`], continuing exactly where
@@ -363,6 +322,34 @@ impl Pagani {
         };
         let init = LoopInit::from_snapshot(snapshot);
         Ok(self.run_from(f, arena, cancel, list, init, Some(&plan), start))
+    }
+
+    /// A run from the root `region`, the one fresh-start path behind
+    /// [`Pagani::integrate_region_with`] (`plan: None`) and
+    /// [`Pagani::integrate_resumable`].  A device too small for even the
+    /// coarsest initial split ends the run at once with
+    /// [`Termination::MemoryExhausted`].
+    fn run_fresh<F: Integrand + ?Sized>(
+        &self,
+        f: &F,
+        region: &Region,
+        arena: &ScratchArena,
+        cancel: &CancelToken,
+        plan: Option<&SnapshotPlan<'_>>,
+    ) -> ResumableOutput {
+        ensure_matching_dims(f, region);
+        let start = Instant::now();
+        match self.start_list(f.dim(), region, arena) {
+            Ok(list) => {
+                let init = LoopInit::fresh(list.len() as u64);
+                self.run_from(f, arena, cancel, list, init, plan, start)
+            }
+            Err(_) => ResumableOutput {
+                output: exhausted_at_start(start),
+                checkpoints: Vec::new(),
+                final_snapshot: None,
+            },
+        }
     }
 
     /// Initial uniform split (Algorithm 2, lines 2-4), backing off the
@@ -883,33 +870,22 @@ impl Pagani {
             threshold_invoked,
         });
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn bail_out(
-        &self,
-        estimate: f64,
-        error: f64,
-        termination: Termination,
-        iterations: usize,
-        function_evaluations: u64,
-        regions_generated: u64,
-        start: Instant,
-        trace: ExecutionTrace,
-        _cause: Option<DeviceError>,
-    ) -> PaganiOutput {
-        PaganiOutput {
-            result: IntegrationResult {
-                estimate,
-                error_estimate: error,
-                termination,
-                iterations,
-                function_evaluations,
-                regions_generated,
-                active_regions_final: 0,
-                wall_time: start.elapsed(),
-            },
-            trace,
-        }
+/// The output of a run whose initial split did not fit in device memory.
+fn exhausted_at_start(start: Instant) -> PaganiOutput {
+    PaganiOutput {
+        result: IntegrationResult {
+            estimate: 0.0,
+            error_estimate: 0.0,
+            termination: Termination::MemoryExhausted,
+            iterations: 0,
+            function_evaluations: 0,
+            regions_generated: 0,
+            active_regions_final: 0,
+            wall_time: start.elapsed(),
+        },
+        trace: ExecutionTrace::default(),
     }
 }
 

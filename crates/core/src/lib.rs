@@ -35,7 +35,7 @@
 #![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 pub mod arena;
 pub mod batch;
@@ -90,4 +90,16 @@ pub use trace::{ExecutionTrace, IterationRecord, ThresholdProbe, ThresholdSearch
 /// information here.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Park on `condvar` while `condition` holds, with the same poison policy as
+/// [`lock`] — the one blocking-wait idiom of the service front-ends.
+pub(crate) fn wait_while<'a, T>(
+    condvar: &Condvar,
+    guard: MutexGuard<'a, T>,
+    condition: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    condvar
+        .wait_while(guard, condition)
+        .unwrap_or_else(PoisonError::into_inner)
 }

@@ -28,7 +28,7 @@
 //! pools, memory-pressure behaviour) depends on placement.
 
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pagani_quadrature::{Integrand, IntegrationResult, Region, Termination, Tolerances};
@@ -37,13 +37,10 @@ use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
 pub use crate::cost::{estimated_cost, estimated_job_cost};
-use crate::cost::{least_loaded, CostModel};
+use crate::cost::{least_loaded, CostModel, Ledger};
 use crate::driver::{Pagani, PaganiOutput};
 use crate::integrator::ensure_matching_dims;
-use crate::lock;
-use crate::service::{
-    CompletionHook, IntegrationService, JobHandle, QueueFull, Rejected, ServiceMetrics,
-};
+use crate::service::{IntegrationService, JobHandle, QueueFull, Rejected, ServiceMetrics};
 use crate::slab::{slab_parts, submit_slabbed};
 use pagani_device::Device;
 use pagani_persist::ResultCache;
@@ -98,7 +95,7 @@ pub fn plan_dispatch(costs: &[f64], lanes: usize, mode: DispatchMode) -> Vec<usi
 #[derive(Debug)]
 struct Lane {
     service: IntegrationService,
-    outstanding: Arc<Mutex<f64>>,
+    outstanding: Arc<Ledger>,
 }
 
 impl Lane {
@@ -107,14 +104,6 @@ impl Lane {
     fn has_space(&self) -> bool {
         let bound = self.service.policy().queue_bound;
         bound.is_none_or(|bound| self.service.queued_jobs() < bound)
-    }
-
-    /// Charge `cost` to this lane's ledger and return the completion hook
-    /// that retires it at exactly the charged value.
-    fn charge(&self, cost: f64) -> Option<CompletionHook> {
-        *lock(&self.outstanding) += cost;
-        let outstanding = Arc::clone(&self.outstanding);
-        Some(Box::new(move || *lock(&outstanding) -= cost))
     }
 }
 
@@ -169,7 +158,7 @@ impl MultiDeviceService {
             .into_iter()
             .map(|device| Lane {
                 service: builder.clone().device(device).build(),
-                outstanding: Arc::new(Mutex::new(0.0)),
+                outstanding: Arc::default(),
             })
             .collect();
         Self {
@@ -198,7 +187,7 @@ impl MultiDeviceService {
     pub fn outstanding_costs(&self) -> Vec<f64> {
         self.lanes
             .iter()
-            .map(|lane| *lock(&lane.outstanding))
+            .map(|lane| lane.outstanding.total())
             .collect()
     }
 
@@ -290,7 +279,7 @@ impl MultiDeviceService {
     /// [`MultiDeviceService::submit`] with refuse-instead-of-wait semantics:
     /// the chosen lane's [`IntegrationService::try_submit`] admission checks
     /// (queue bound, deadline feasibility) run, and a refusal hands the job
-    /// back as [`Rejected`] without charging the lane.
+    /// back as [`Rejected`] and leaves the lane's ledger as it was.
     ///
     /// Under `RoundRobin` a rejected submission still consumes its rotation
     /// slot — placement stays a pure function of the submission *attempt*
@@ -323,13 +312,8 @@ impl MultiDeviceService {
         }
         let lane = &self.lanes[self.select_lane()];
         let cost = self.cost_model().weigh_job(&job, self.default_tolerances);
-        let result = lane.service.try_submit_with_hook(job, lane.charge(cost));
-        if result.is_err() {
-            // The lane never accepted the job, so its completion hook will
-            // never run: revert the charge at exactly the charged value.
-            *lock(&lane.outstanding) -= cost;
-        }
-        result
+        lane.service
+            .try_submit_charged(job, Some(lane.outstanding.charge(cost)))
     }
 
     /// Dispatch `job` to lane `lane_index`, charging `cost` to its ledger
@@ -337,7 +321,8 @@ impl MultiDeviceService {
     /// [`CostModel`], or a slab child's [`crate::slab_weights`] share.
     fn submit_weighted(&self, lane_index: usize, job: BatchJob, cost: f64) -> JobHandle {
         let lane = &self.lanes[lane_index];
-        lane.service.submit_with_hook(job, lane.charge(cost))
+        lane.service
+            .submit_charged(job, Some(lane.outstanding.charge(cost)))
     }
 
     /// The memory budget a slab must fit: the smallest lane's capacity,
@@ -830,6 +815,50 @@ mod tests {
         for handle in &handles {
             assert!(handle.wait().result.converged());
         }
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_try_submit_refused_by_a_full_lane_leaves_its_ledger_exact() {
+        use pagani_quadrature::FnIntegrand;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let started = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let (s, r) = (Arc::clone(&started), Arc::clone(&release));
+        let blocker = BatchJob::new(FnIntegrand::new(2, move |_: &[f64]| {
+            s.store(true, Ordering::Release);
+            while !r.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            1.0
+        }));
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
+        let service = ServiceBuilder::new(config.clone())
+            .devices(devices(1))
+            .workers(1)
+            .queue_bound(1)
+            .build_multi();
+        // The cold model weighs with the static formula until a job ends.
+        let weigh = |job: &BatchJob| service.cost_model().weigh_job(job, config.tolerances);
+        let queued_job = BatchJob::new(PaperIntegrand::f4(3));
+        let expected = weigh(&blocker) + weigh(&queued_job);
+        // The blocker occupies the worker, the next job the one queue slot.
+        let running = service.submit(blocker);
+        while !started.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let queued = service.submit(queued_job);
+        let refused = service
+            .try_submit(BatchJob::new(PaperIntegrand::f3(3)))
+            .expect_err("the lane's queue is at its bound");
+        let held = service.outstanding_costs();
+        // Release before asserting, so a failure cannot strand the worker.
+        release.store(true, Ordering::Release);
+        assert!(matches!(refused, Rejected::QueueFull(_)), "{refused:?}");
+        assert_eq!(held, vec![expected]);
+        assert!(running.wait().result.converged());
+        assert!(queued.wait().result.converged());
+        assert_eq!(service.outstanding_costs(), vec![0.0]);
         service.shutdown();
     }
 

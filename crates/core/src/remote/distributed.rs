@@ -26,18 +26,17 @@
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pagani_persist::{ResultCache, Snapshot};
-use pagani_quadrature::{IntegrationResult, Termination, Tolerances};
+use pagani_quadrature::{IntegrationResult, Tolerances};
 
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
-use crate::cost::{least_loaded, remote_lane_load, CostModel};
+use crate::cost::{least_loaded, remote_lane_load, Charge, CostModel, Ledger};
 use crate::driver::PaganiOutput;
-use crate::lock;
 use crate::remote::wire::{
     priority_to_tag, tag_to_termination, Message, NO_DEADLINE, PROTOCOL_VERSION,
 };
@@ -47,6 +46,7 @@ use crate::service::{
 };
 use crate::slab::{slab_parts, submit_slabbed};
 use crate::trace::ExecutionTrace;
+use crate::{lock, wait_while};
 
 /// One connected remote worker.
 #[derive(Debug)]
@@ -55,8 +55,8 @@ struct Endpoint {
     stream: TcpStream,
     writer: Mutex<TcpStream>,
     /// Estimated cost of jobs dispatched here and not yet completed — the
-    /// same ledger discipline as [`crate::MultiDeviceService`]'s lanes.
-    outstanding: Mutex<f64>,
+    /// same ledger as [`crate::MultiDeviceService`]'s lanes.
+    outstanding: Arc<Ledger>,
     alive: AtomicBool,
     /// From the worker's `HelloAck`: its device memory (drives slab
     /// admission) …
@@ -71,7 +71,7 @@ impl Endpoint {
     }
 }
 
-/// One job in flight: enough to complete its handle, retire its charge, and
+/// One job in flight: enough to complete its handle, retire its charges, and
 /// requeue it if its worker dies.
 #[derive(Debug)]
 struct Pending {
@@ -81,9 +81,14 @@ struct Pending {
     /// The job's dispatch weight, charged to whichever endpoint holds it —
     /// its model weight, or its slab share for a slab child.
     weight: f64,
-    /// What is charged to `endpoint` right now: `weight`, or `0.0` once a
-    /// dead endpoint's ledger has been retired.
-    charge: f64,
+    /// `weight` held on `endpoint`'s ledger; `None` before the first ship
+    /// and once a dead endpoint's charge has been retired.
+    charge: Option<Charge>,
+    /// The model's time prediction at dispatch, scored against the
+    /// worker-measured wall time on completion.
+    predicted: Option<Duration>,
+    /// `predicted` held on the front-end's backlog ledger until completion.
+    backlog: Charge,
 }
 
 #[derive(Debug)]
@@ -219,15 +224,10 @@ impl DistributedService {
             return submit_slabs(shared, job, parts);
         }
         let weight = shared.model.weigh_job(&job, shared.tolerances);
-        let mut pending = lock(&shared.pending);
-        if let Some(bound) = shared.policy.queue_bound {
-            while pending.len() >= bound && !shared.shutting_down.load(AtomicOrdering::SeqCst) {
-                pending = shared
-                    .space
-                    .wait(pending)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        let bound = shared.policy.queue_bound.unwrap_or(usize::MAX);
+        let pending = wait_while(&shared.space, lock(&shared.pending), |pending| {
+            pending.len() >= bound && !shared.shutting_down.load(AtomicOrdering::SeqCst)
+        });
         dispatch_locked(shared, pending, job, weight)
     }
 
@@ -271,7 +271,7 @@ impl DistributedService {
             .iter()
             .filter(|e| e.alive.load(AtomicOrdering::SeqCst))
             .fold((0.0f64, 0usize), |(sum, workers), e| {
-                (sum + *lock(&e.outstanding), workers + e.workers as usize)
+                (sum + e.outstanding.total(), workers + e.workers as usize)
             });
         Some(completion_after_backlog(own, outstanding, workers))
     }
@@ -280,16 +280,11 @@ impl DistributedService {
     /// close the connections and join the reader and heartbeat threads.
     /// Workers keep running — they belong to their own processes.
     pub fn shutdown(self) {
-        {
-            let mut pending = lock(&self.shared.pending);
-            while !pending.is_empty() {
-                pending = self
-                    .shared
-                    .space
-                    .wait(pending)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        drop(wait_while(
+            &self.shared.space,
+            lock(&self.shared.pending),
+            |pending| !pending.is_empty(),
+        ));
         self.shared
             .shutting_down
             .store(true, AtomicOrdering::SeqCst);
@@ -322,7 +317,7 @@ fn connect(addr: &str) -> std::io::Result<Endpoint> {
             addr: addr.to_owned(),
             stream,
             writer: Mutex::new(writer),
-            outstanding: Mutex::new(0.0),
+            outstanding: Arc::default(),
             alive: AtomicBool::new(true),
             memory_capacity,
             workers,
@@ -390,7 +385,8 @@ fn submit_slabs(shared: &Arc<DistShared>, job: BatchJob, parts: usize) -> JobHan
 }
 
 /// Register `job` as pending (holding the lock so queue-bound checks stay
-/// exact), then ship it, charging `weight` to whichever worker takes it.
+/// exact) with its predicted duration charged to the front-end's backlog,
+/// then ship it, charging `weight` to whichever worker takes it.
 /// Returns a detached handle whose cancel hook forwards a `Cancel` frame to
 /// whichever worker currently holds the job.
 fn dispatch_locked(
@@ -401,6 +397,7 @@ fn dispatch_locked(
 ) -> JobHandle {
     let job_id = shared.next_job_id.fetch_add(1, AtomicOrdering::Relaxed);
     let state = Arc::new(JobState::new());
+    let predicted = shared.model.predict_job(&job, shared.tolerances);
     pending.insert(
         job_id,
         Pending {
@@ -408,7 +405,9 @@ fn dispatch_locked(
             state: Arc::clone(&state),
             endpoint: usize::MAX, // patched by ship()
             weight,
-            charge: 0.0,
+            charge: None,
+            predicted,
+            backlog: shared.obs.charge(predicted),
         },
     );
     drop(pending);
@@ -436,7 +435,7 @@ fn dispatch_locked(
 /// completes with a panic outcome — there is no one left to run it.
 fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
     loop {
-        let Some((job, charge)) = lock(&shared.pending)
+        let Some((job, weight)) = lock(&shared.pending)
             .get(&job_id)
             .map(|p| (p.job.clone(), p.weight))
         else {
@@ -447,16 +446,11 @@ fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
             (0..endpoints.len()).filter(|&i| endpoints[i].alive.load(AtomicOrdering::SeqCst));
         let load = |i: usize| {
             let endpoint = &endpoints[i];
-            remote_lane_load(*lock(&endpoint.outstanding), endpoint.workers as usize)
+            remote_lane_load(endpoint.outstanding.total(), endpoint.workers as usize)
         };
         let Some(index) = least_loaded(live, load) else {
-            let entry = lock(&shared.pending).remove(&job_id);
-            if let Some(entry) = entry {
-                entry.state.complete(JobOutcome::Panicked(
-                    "connection to every remote worker lost".to_owned(),
-                ));
-                shared.space.notify_all();
-            }
+            let lost = "connection to every remote worker lost".to_owned();
+            complete_job(shared, job_id, JobOutcome::Panicked(lost), None);
             return;
         };
         let endpoint = &shared.endpoints[index];
@@ -466,9 +460,8 @@ fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
                 return;
             };
             entry.endpoint = index;
-            entry.charge = charge;
+            entry.charge = Some(endpoint.outstanding.charge(weight));
         }
-        *lock(&endpoint.outstanding) += charge;
         let frame = submit_frame(shared, job_id, &job);
         if endpoint.send(&frame).is_ok() {
             if requeue {
@@ -486,7 +479,9 @@ fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
         // The write failed: this endpoint is dead.  Retire the charge, mark
         // it, wake its reader (which requeues *its* other jobs), and try the
         // next survivor for this one.
-        *lock(&endpoint.outstanding) -= charge;
+        if let Some(entry) = lock(&shared.pending).get_mut(&job_id) {
+            entry.charge = None;
+        }
         endpoint.alive.store(false, AtomicOrdering::SeqCst);
         let _ = endpoint.stream.shutdown(Shutdown::Both);
     }
@@ -569,52 +564,52 @@ fn reader_loop(shared: &Arc<DistShared>, index: usize) {
             let Some(entry) = pending.get_mut(&job_id) else {
                 continue;
             };
-            *lock(&endpoint.outstanding) -= entry.charge;
-            entry.charge = 0.0;
+            entry.charge = None;
         }
         ship(shared, job_id, true);
     }
 }
 
-/// Retire one completed job: ledger, model training, checkpoint capture,
-/// handle completion, queue-space wakeup.
+/// Retire one completed job: ledgers, the shared completion accounting,
+/// checkpoint capture, handle completion, queue-space wakeup.
 fn complete_job(
     shared: &Arc<DistShared>,
     job_id: u64,
     outcome: JobOutcome,
     snapshot_json: Option<String>,
 ) {
-    let Some(entry) = lock(&shared.pending).remove(&job_id) else {
+    let Some(Pending {
+        job,
+        state,
+        charge,
+        predicted,
+        backlog,
+        ..
+    }) = lock(&shared.pending).remove(&job_id)
+    else {
         return;
     };
-    if let Some(endpoint) = shared.endpoints.get(entry.endpoint) {
-        *lock(&endpoint.outstanding) -= entry.charge;
-    }
-    if let JobOutcome::Finished(output) = &outcome {
-        let cancelled = output.result.termination == Termination::Cancelled;
-        if cancelled {
-            shared.obs.cancelled.fetch_add(1, AtomicOrdering::Relaxed);
-        } else {
-            // Train the shared model with the worker-measured wall time —
-            // what one worker learns prices that family everywhere.
-            shared
-                .model
-                .record_job(&entry.job, shared.tolerances, output.result.wall_time);
-        }
-        if let (Some(cache), Some(json)) = (&shared.cache, &snapshot_json) {
-            if let Ok(snapshot) = Snapshot::from_json_str(json) {
-                if snapshot.validate().is_ok() {
-                    cache.store(
-                        job_cache_key(&entry.job, shared.tolerances),
-                        None,
-                        Some(snapshot),
-                    );
-                }
+    drop((charge, backlog));
+    // The model trains on the worker-measured wall time — what one worker
+    // learns prices that family everywhere.
+    shared.obs.complete(
+        &outcome,
+        false,
+        predicted,
+        &shared.model,
+        &job,
+        shared.tolerances,
+    );
+    if let (JobOutcome::Finished(_), Some(cache), Some(json)) =
+        (&outcome, &shared.cache, &snapshot_json)
+    {
+        if let Ok(snapshot) = Snapshot::from_json_str(json) {
+            if snapshot.validate().is_ok() {
+                cache.store(job_cache_key(&job, shared.tolerances), None, Some(snapshot));
             }
         }
     }
-    shared.obs.completed.fetch_add(1, AtomicOrdering::Relaxed);
-    entry.state.complete(outcome);
+    state.complete(outcome);
     shared.space.notify_all();
 }
 

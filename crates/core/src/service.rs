@@ -81,10 +81,10 @@ use crate::arena::ScratchArena;
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
-use crate::cost::{cost_ceiling, CostKey, CostModel, Ewma};
+use crate::cost::{cost_ceiling, Charge, CostKey, CostModel, Ewma, Ledger};
 use crate::driver::{CancelToken, Pagani, PaganiOutput};
-use crate::lock;
 use crate::trace::ExecutionTrace;
+use crate::{lock, wait_while};
 
 /// Scheduling priority of a job: higher priorities are claimed first, equal
 /// priorities stay in submission (FIFO) order.
@@ -102,10 +102,12 @@ pub enum Priority {
     High,
 }
 
-/// Service-level scheduling policy: queue bound and worker count.
+/// Service-level scheduling policy: queue bound and worker count, as set by
+/// [`ServiceBuilder::queue_bound`] and [`ServiceBuilder::workers`] and read
+/// back through [`IntegrationService::policy`].
 ///
 /// The default policy is an unbounded queue with one service worker per
-/// device worker — exactly the pre-policy service behaviour.
+/// device worker.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServicePolicy {
     /// Maximum number of submitted-but-unclaimed jobs.  When the queue is at
@@ -117,28 +119,6 @@ pub struct ServicePolicy {
     /// Number of resident worker threads; `None` (the default) uses the
     /// device's effective worker-pool width.
     pub workers: Option<usize>,
-}
-
-impl ServicePolicy {
-    /// The default policy: unbounded queue, device-sized worker pool.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bound the submission queue at `bound` unclaimed jobs (minimum 1).
-    #[must_use]
-    pub fn with_queue_bound(mut self, bound: usize) -> Self {
-        self.queue_bound = Some(bound.max(1));
-        self
-    }
-
-    /// Use an explicit worker-thread count (minimum 1).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
 }
 
 /// A submission was refused because the queue is at its
@@ -371,8 +351,9 @@ impl WaitReservoir {
 /// Shared observability state: monotone counters, the outstanding
 /// predicted-time ledger that deadline admission reads, per-priority wait
 /// reservoirs and the lane's prediction-error EWMA.  The remote front-end
-/// ([`crate::remote::DistributedService`]) reuses this same state so local
-/// and distributed metrics share one vocabulary.
+/// ([`crate::remote::DistributedService`]) reuses this same state — and its
+/// [`Observability::complete`] path — so local and distributed metrics share
+/// one vocabulary.
 #[derive(Debug)]
 pub(crate) struct Observability {
     pub(crate) submitted: AtomicU64,
@@ -381,10 +362,9 @@ pub(crate) struct Observability {
     pub(crate) rejected_queue_full: AtomicU64,
     pub(crate) rejected_deadline_infeasible: AtomicU64,
     pub(crate) deadline_misses: AtomicU64,
-    /// Sum of the predicted-duration charges (whole microseconds) of every
-    /// enqueued-or-running job.  Charges are integer-valued and bounded by
-    /// [`cost_ceiling`], so charge/retire cycles cancel exactly.
-    pub(crate) outstanding_micros: Mutex<f64>,
+    /// Predicted duration, in whole microseconds, of every
+    /// enqueued-or-running job ([`Observability::charge`]).
+    pub(crate) outstanding: Arc<Ledger>,
     pub(crate) prediction_error: Mutex<Ewma>,
     pub(crate) waits: Mutex<[WaitReservoir; 3]>,
     pub(crate) cache_hits: AtomicU64,
@@ -407,7 +387,7 @@ impl Observability {
             rejected_queue_full: AtomicU64::new(0),
             rejected_deadline_infeasible: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
-            outstanding_micros: Mutex::new(0.0),
+            outstanding: Arc::default(),
             prediction_error: Mutex::new(Ewma::new(CostModel::DEFAULT_ALPHA)),
             waits: Mutex::new([
                 WaitReservoir::default(),
@@ -463,9 +443,55 @@ impl Observability {
         Ok(job)
     }
 
+    /// Charge a job's predicted duration to the backlog ledger in whole
+    /// microseconds (nothing while the model is cold) until the returned
+    /// guard is dropped.
+    pub(crate) fn charge(&self, predicted: Option<Duration>) -> Charge {
+        let micros = predicted.map_or(0.0, |p| {
+            (p.as_secs_f64() * 1e6).round().clamp(0.0, cost_ceiling())
+        });
+        self.outstanding.charge(micros)
+    }
+
+    /// The one completion path of every front-end, run after the job's
+    /// charges are retired and before its outcome publishes, so anyone who
+    /// sees the job complete also sees its accounting.  Counts the
+    /// completion (and the cancellation, for a cancelled run); unless the
+    /// run was cancelled, panicked or served from a cache, trains `model`
+    /// with its measured wall time and folds the relative error of the
+    /// `predicted` duration into the prediction-error EWMA.  A cancelled
+    /// run's partial wall time would bias the model low, and a cache hit's
+    /// near-zero one says nothing about what computing the job costs.
+    pub(crate) fn complete(
+        &self,
+        outcome: &JobOutcome,
+        from_cache: bool,
+        predicted: Option<Duration>,
+        model: &CostModel,
+        job: &BatchJob,
+        tolerances: Tolerances,
+    ) {
+        self.completed.fetch_add(1, AtomicOrdering::Relaxed);
+        let JobOutcome::Finished(output) = outcome else {
+            return;
+        };
+        if output.result.termination == Termination::Cancelled {
+            self.cancelled.fetch_add(1, AtomicOrdering::Relaxed);
+            return;
+        }
+        if from_cache {
+            return;
+        }
+        let wall_time = output.result.wall_time;
+        model.record_job(job, tolerances, wall_time);
+        if let Some(p) = predicted.map(|p| p.as_secs_f64()).filter(|&p| p > 0.0) {
+            let error = (wall_time.as_secs_f64() - p).abs() / p;
+            lock(&self.prediction_error).observe(error);
+        }
+    }
+
     /// Render the counters as a [`ServiceMetrics`] snapshot.
     pub(crate) fn snapshot(&self, queue_depth: usize) -> ServiceMetrics {
-        let outstanding_micros = *lock(&self.outstanding_micros);
         let waits = lock(&self.waits);
         ServiceMetrics {
             queue_depth,
@@ -477,7 +503,7 @@ impl Observability {
                 .rejected_deadline_infeasible
                 .load(AtomicOrdering::Relaxed),
             deadline_misses: self.deadline_misses.load(AtomicOrdering::Relaxed),
-            outstanding_predicted: Duration::from_secs_f64(outstanding_micros.max(0.0) / 1e6),
+            outstanding_predicted: Duration::from_secs_f64(self.outstanding.total() / 1e6),
             prediction_error_ewma: lock(&self.prediction_error).value(),
             waits: [waits[0].stats(), waits[1].stats(), waits[2].stats()],
             cache_hits: self.cache_hits.load(AtomicOrdering::Relaxed),
@@ -622,17 +648,10 @@ impl JobHandle {
     /// Re-raises the job's panic if the job panicked on its worker.
     #[must_use]
     pub fn wait(&self) -> PaganiOutput {
-        let mut slot = lock(&self.state.slot);
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return unwrap_outcome(outcome.clone());
-            }
-            slot = self
-                .state
-                .done
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        let slot = wait_while(&self.state.done, lock(&self.state.slot), |slot| {
+            slot.is_none()
+        });
+        unwrap_outcome(slot.clone().expect("the wait ends once the slot is filled"))
     }
 
     /// Request cooperative cancellation.
@@ -662,10 +681,6 @@ impl JobHandle {
     }
 }
 
-/// A completion hook, run on the worker after the job's outcome is published
-/// (the multi-device dispatcher uses it to retire the job's estimated cost).
-pub(crate) type CompletionHook = Box<dyn FnOnce() + Send>;
-
 struct QueuedJob {
     job: BatchJob,
     state: Arc<JobState>,
@@ -675,14 +690,14 @@ struct QueuedJob {
     /// When the job entered the queue; claim time minus this is the wait
     /// recorded in [`ServiceMetrics`].
     enqueued_at: Instant,
-    /// What this job charged to the outstanding-predicted ledger at enqueue
-    /// (whole microseconds, `0.0` while the model was cold) — retired at
-    /// exactly this value on completion.
-    charge_micros: f64,
+    /// The job's predicted duration held on the service's backlog ledger
+    /// until it completes.
+    charge: Charge,
     /// The model's time prediction at enqueue, compared against the measured
     /// wall time to update the prediction-error EWMA.
     predicted: Option<Duration>,
-    on_complete: Option<CompletionHook>,
+    /// The job's dispatch weight on its multi-device lane, if it has one.
+    lane_charge: Option<Charge>,
 }
 
 impl std::fmt::Debug for QueuedJob {
@@ -882,7 +897,7 @@ impl IntegrationService {
     /// same job alone through [`Pagani::integrate_region`] on this device.
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
-        self.submit_with_hook(job, None)
+        self.submit_charged(job, None)
     }
 
     /// Enqueue `job` if it can be accepted, refusing with [`Rejected`] — the
@@ -932,15 +947,15 @@ impl IntegrationService {
     /// jobs; [`Rejected::DeadlineInfeasible`] when the job's deadline cannot
     /// be met.  An unbounded service with a cold cost model never errs.
     pub fn try_submit(&self, job: BatchJob) -> Result<JobHandle, Rejected> {
-        self.try_submit_with_hook(job, None)
+        self.try_submit_charged(job, None)
     }
 
-    /// [`IntegrationService::try_submit`] with an optional completion hook
-    /// (the multi-device dispatcher's cost-retirement callback).
-    pub(crate) fn try_submit_with_hook(
+    /// [`IntegrationService::try_submit`] for a multi-device lane: the job
+    /// holds `lane_charge` until it completes, and a refusal drops it.
+    pub(crate) fn try_submit_charged(
         &self,
         job: BatchJob,
-        on_complete: Option<CompletionHook>,
+        lane_charge: Option<Charge>,
     ) -> Result<JobHandle, Rejected> {
         let queue = lock(&self.shared.queue);
         let job = self.shared.obs.admit(
@@ -949,7 +964,7 @@ impl IntegrationService {
             job,
             |job| self.estimated_completion(job),
         )?;
-        Ok(self.enqueue(queue, job, on_complete))
+        Ok(self.enqueue(queue, job, lane_charge))
     }
 
     /// Predicted completion time of `job` from now, were it submitted at the
@@ -967,10 +982,9 @@ impl IntegrationService {
     #[must_use]
     pub fn estimated_completion(&self, job: &BatchJob) -> Option<Duration> {
         let own = self.predicted_remaining(job)?;
-        let outstanding_micros = *lock(&self.shared.obs.outstanding_micros);
         Some(completion_after_backlog(
             own,
-            outstanding_micros,
+            self.shared.obs.outstanding.total(),
             self.shared.worker_count,
         ))
     }
@@ -1074,25 +1088,15 @@ impl IntegrationService {
         &self.shared.cost_model
     }
 
-    /// Enqueue with an optional completion hook (the multi-device dispatcher
-    /// uses the hook to retire the job's estimated cost).  Blocks while a
-    /// bounded queue is full.
-    pub(crate) fn submit_with_hook(
-        &self,
-        job: BatchJob,
-        on_complete: Option<CompletionHook>,
-    ) -> JobHandle {
-        let mut queue = lock(&self.shared.queue);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            while queue.jobs.len() >= bound && !queue.shutting_down {
-                queue = self
-                    .shared
-                    .space
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        self.enqueue(queue, job, on_complete)
+    /// [`IntegrationService::submit`] for a multi-device lane: the job holds
+    /// `lane_charge` until it completes.  Blocks while a bounded queue is
+    /// full.
+    pub(crate) fn submit_charged(&self, job: BatchJob, lane_charge: Option<Charge>) -> JobHandle {
+        let bound = self.shared.policy.queue_bound.unwrap_or(usize::MAX);
+        let queue = wait_while(&self.shared.space, lock(&self.shared.queue), |queue| {
+            queue.jobs.len() >= bound && !queue.shutting_down
+        });
+        self.enqueue(queue, job, lane_charge)
     }
 
     /// Push `job` onto the (already locked) queue, charge its predicted time
@@ -1101,7 +1105,7 @@ impl IntegrationService {
         &self,
         mut queue: MutexGuard<'_, QueueState>,
         job: BatchJob,
-        on_complete: Option<CompletionHook>,
+        lane_charge: Option<Charge>,
     ) -> JobHandle {
         let state = Arc::new(JobState::new());
         let priority = job.priority();
@@ -1110,26 +1114,20 @@ impl IntegrationService {
         // a service lock), so a warm-started job charges only its remaining
         // work to the admission ledger.
         let predicted = self.predicted_remaining(&job);
-        // Whole microseconds in [0, cost_ceiling()] so charge/retire cycles
-        // cancel exactly (see `cost_ceiling`); a cold model charges nothing.
-        let charge_micros = predicted
-            .map(|p| (p.as_secs_f64() * 1e6).round().clamp(0.0, cost_ceiling()))
-            .unwrap_or(0.0);
         let seq = queue.next_seq;
         queue.next_seq += 1;
+        // Charged while still holding the queue lock, so admission never
+        // observes a queued-but-uncharged job.
         queue.jobs.push(QueuedJob {
             job,
             state: Arc::clone(&state),
             priority,
             seq,
             enqueued_at: Instant::now(),
-            charge_micros,
+            charge: self.shared.obs.charge(predicted),
             predicted,
-            on_complete,
+            lane_charge,
         });
-        // Charge while still holding the queue lock (lock order: queue →
-        // outstanding) so admission never observes a queued-but-uncharged job.
-        *lock(&self.shared.obs.outstanding_micros) += charge_micros;
         self.shared
             .obs
             .submitted
@@ -1209,28 +1207,19 @@ fn worker_loop(shared: &ServiceShared) {
     let arena = ScratchArena::new();
     loop {
         let claimed = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(job) = queue.jobs.pop() {
-                    break Some(job);
-                }
-                if queue.shutting_down {
-                    break None;
-                }
-                queue = shared
-                    .work
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            let mut queue = wait_while(&shared.work, lock(&shared.queue), |queue| {
+                queue.jobs.is_empty() && !queue.shutting_down
+            });
+            queue.jobs.pop()
         };
         let Some(QueuedJob {
             job,
             state,
             priority,
             enqueued_at,
-            charge_micros,
+            charge,
             predicted,
-            on_complete,
+            lane_charge,
             ..
         }) = claimed
         else {
@@ -1244,48 +1233,25 @@ fn worker_loop(shared: &ServiceShared) {
         // shared state touched during the unwind is panic-safe — the arena
         // shelves only value-transparent scratch storage and the job's
         // isolated device view is discarded wholesale.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(shared, &arena, &job, &state.cancel)
         }));
-        // Retire the admission charge at exactly the value it was charged at
-        // and feed the measurement back — all before the outcome publishes,
-        // so anyone who observed the job as complete also observes its
-        // accounting.
-        *lock(&shared.obs.outstanding_micros) -= charge_micros;
-        shared.obs.completed.fetch_add(1, AtomicOrdering::Relaxed);
-        if let Ok((output, from_cache)) = &outcome {
-            if output.result.termination == Termination::Cancelled {
-                // A cancelled run's partial wall time would bias the model
-                // low: count it, learn nothing from it.
-                shared.obs.cancelled.fetch_add(1, AtomicOrdering::Relaxed);
-            } else if *from_cache {
-                // A cache hit's near-zero wall time says nothing about what
-                // computing this bucket costs: count nothing into the model.
-            } else {
-                let wall_time = output.result.wall_time;
-                shared
-                    .cost_model
-                    .record_job(&job, shared.config.tolerances, wall_time);
-                if let Some(predicted) = predicted {
-                    let p = predicted.as_secs_f64();
-                    if p > 0.0 {
-                        let error = (wall_time.as_secs_f64() - p).abs() / p;
-                        lock(&shared.obs.prediction_error).observe(error);
-                    }
-                }
-            }
-        }
-        // The hook runs before the outcome is published so that anyone who
-        // observed the job as complete (via wait/try_result) also observes
-        // its side effects — the multi-device dispatcher relies on the job's
-        // estimated cost being retired by the time a wait() returns.
-        if let Some(hook) = on_complete {
-            hook();
-        }
-        state.complete(match outcome {
-            Ok((output, _)) => JobOutcome::Finished(output),
-            Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
-        });
+        let (outcome, from_cache) = match run {
+            Ok((output, from_cache)) => (JobOutcome::Finished(output), from_cache),
+            Err(payload) => (JobOutcome::Panicked(panic_message(payload.as_ref())), false),
+        };
+        // Settle both ledgers before the accounting and the publication, so
+        // whoever sees the job complete also sees its charges retired.
+        drop((charge, lane_charge));
+        shared.obs.complete(
+            &outcome,
+            from_cache,
+            predicted,
+            &shared.cost_model,
+            &job,
+            shared.config.tolerances,
+        );
+        state.complete(outcome);
     }
 }
 
@@ -1532,10 +1498,9 @@ fn deadline_watcher_loop(shared: &ServiceShared) {
                     .unwrap_or_else(PoisonError::into_inner)
                     .0
             }
-            None => shared
-                .deadline_changed
-                .wait(deadlines)
-                .unwrap_or_else(PoisonError::into_inner),
+            None => wait_while(&shared.deadline_changed, deadlines, |deadlines| {
+                deadlines.armed.is_empty() && !deadlines.shutting_down
+            }),
         };
     }
 }
@@ -1718,7 +1683,8 @@ mod tests {
             .device(Device::new(
                 DeviceConfig::test_small().with_worker_threads(1),
             ))
-            .policy(ServicePolicy::new().with_workers(1).with_queue_bound(2))
+            .workers(1)
+            .queue_bound(2)
             .build();
         // The blocker is *claimed* (not queued) once the worker picks it up.
         let running = service.submit(BatchJob::new(blocker));
@@ -1772,7 +1738,8 @@ mod tests {
             .device(Device::new(
                 DeviceConfig::test_small().with_worker_threads(1),
             ))
-            .policy(ServicePolicy::new().with_workers(1).with_queue_bound(1))
+            .workers(1)
+            .queue_bound(1)
             .build();
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {

@@ -369,6 +369,50 @@ fn queue_full_and_deadline_infeasible_are_refused_at_the_front_end() {
 }
 
 #[test]
+fn the_front_end_reports_its_predicted_backlog_and_prediction_error() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let registry = paper_registry();
+    registry.register(gated("held", &gate));
+
+    let worker = spawn_worker(config(), device_with_workers(1), &registry);
+    let frontend = ServiceBuilder::new(config())
+        .endpoint(worker.local_addr().to_string())
+        .build_distributed()
+        .expect("connect the front-end");
+
+    // Train the model with one real run of the same job, held at the gate
+    // for a while so its measured wall time is far from zero.
+    let training = frontend.submit(BatchJob::new(gated("held", &gate)));
+    std::thread::sleep(Duration::from_millis(20));
+    gate.store(true, Ordering::SeqCst);
+    assert!(training.wait().result.converged());
+    gate.store(false, Ordering::SeqCst);
+    assert!(frontend.cost_model().observations() >= 1);
+
+    // While the next one is held, its prediction is the front-end's backlog…
+    let held = frontend.submit(BatchJob::new(gated("held", &gate)));
+    let metrics = frontend.metrics();
+    gate.store(true, Ordering::SeqCst);
+    assert!(
+        metrics.outstanding_predicted > Duration::ZERO,
+        "a held job must show as predicted backlog, metrics: {metrics:?}"
+    );
+    assert!(held.wait().result.converged());
+
+    // …and once it completes, the backlog is retired and the prediction has
+    // been scored against the measured wall time.
+    let metrics = frontend.metrics();
+    assert!(
+        metrics.prediction_error_ewma.is_some(),
+        "metrics: {metrics:?}"
+    );
+    assert_eq!(metrics.outstanding_predicted, Duration::ZERO);
+
+    frontend.shutdown();
+    worker.shutdown();
+}
+
+#[test]
 fn a_cancelled_jobs_checkpoint_resumes_over_the_wire() {
     let gate = Arc::new(AtomicBool::new(false));
     let entered = Arc::new(AtomicBool::new(false));
