@@ -107,7 +107,13 @@ fn bench_soa_eval(c: &mut Criterion) {
     let dim = 2usize;
     let rule = GenzMalik::new(dim);
     let integrand = FnIntegrand::new(dim, |x: &[f64]| x[0] * x[1] + 1.0);
-    let list = RegionList::initial_split(&Region::unit_cube(dim), 64, device.memory()).unwrap();
+    let list = RegionList::initial_split_in(
+        &Region::unit_cube(dim),
+        64,
+        device.memory(),
+        &ScratchArena::default(),
+    )
+    .unwrap();
     assert_eq!(list.len(), 4096);
     let arena = ScratchArena::new();
 

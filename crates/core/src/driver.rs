@@ -63,50 +63,78 @@ pub struct PaganiOutput {
     pub trace: ExecutionTrace,
 }
 
-/// Loop-carried driver state, split out so a resumed run can restore it from
-/// a [`Snapshot`] and a fresh run can start it from zero.  The region list
-/// itself travels separately (it lives in device memory).
-struct LoopInit {
+/// The loop-carried scalars of Algorithm 2: everything a [`Snapshot`]
+/// records besides the region tree.  `Copy`, so saving the iteration-entry
+/// state every generation costs no float arithmetic and no heap traffic.
+#[derive(Clone, Copy)]
+struct LoopState {
+    /// Finished-region accumulators (v_f, e_f).
     finished_estimate: f64,
     finished_error: f64,
+    /// Error frozen specifically by the heuristic threshold classification.
+    /// It is capped at half of the allowed total error so that relative-error
+    /// filtering (whose commitments are proportional to the frozen integral
+    /// mass) always has headroom left and convergence is never ruled out by
+    /// the heuristic alone.
     threshold_frozen_error: f64,
     function_evaluations: u64,
     regions_generated: u64,
     previous_cumulative: Option<f64>,
-    parent_integrals: Option<Vec<f64>>,
-    start_iteration: usize,
+    /// Best cumulative estimates seen so far (active + finished); this is
+    /// what a non-converged run reports, matching the paper's "return the
+    /// latest integral and error estimate with a flag" behaviour (§3.5.2).
     latest_estimate: f64,
     latest_error: f64,
 }
 
-impl LoopInit {
-    fn fresh(initial_regions: u64) -> Self {
-        LoopInit {
+/// Where the driver loop starts: the live generation, the parent integrals
+/// aligned with its sibling layout (`None` when it has no parents), the loop
+/// state and the first iteration to run.
+struct LoopStart {
+    list: RegionList,
+    parent_integrals: Option<Vec<f64>>,
+    state: LoopState,
+    iteration: usize,
+}
+
+impl LoopStart {
+    /// A fresh run from the initial split.
+    fn fresh(list: RegionList) -> Self {
+        let state = LoopState {
             finished_estimate: 0.0,
             finished_error: 0.0,
             threshold_frozen_error: 0.0,
             function_evaluations: 0,
-            regions_generated: initial_regions,
+            regions_generated: list.len() as u64,
             previous_cumulative: None,
-            parent_integrals: None,
-            start_iteration: 0,
             latest_estimate: 0.0,
             latest_error: f64::INFINITY,
+        };
+        LoopStart {
+            list,
+            parent_integrals: None,
+            state,
+            iteration: 0,
         }
     }
 
-    fn from_snapshot(snapshot: &Snapshot) -> Self {
-        LoopInit {
+    /// A resumed run: `list` holds `snapshot`'s geometry.
+    fn resumed(list: RegionList, snapshot: &Snapshot) -> Self {
+        let state = LoopState {
             finished_estimate: snapshot.finished_estimate,
             finished_error: snapshot.finished_error,
             threshold_frozen_error: snapshot.threshold_frozen_error,
             function_evaluations: snapshot.function_evaluations,
             regions_generated: snapshot.regions_generated,
             previous_cumulative: snapshot.previous_cumulative,
-            parent_integrals: snapshot.parent_integrals.clone(),
-            start_iteration: snapshot.next_iteration,
             latest_estimate: snapshot.latest_estimate,
             latest_error: snapshot.latest_error,
+        };
+        LoopStart {
+            list,
+            parent_integrals: snapshot.parent_integrals.clone(),
+            state,
+            iteration: snapshot.next_iteration,
         }
     }
 }
@@ -122,20 +150,17 @@ struct SnapshotPlan<'a> {
     region: &'a Region,
 }
 
-/// The loop-carried scalars a snapshot records, bundled so each capture site
-/// can pass either the values saved at the top of the iteration or the
-/// current ones.  All `Copy`, so saving them every iteration is free of float
-/// arithmetic and heap traffic.
+/// What one snapshot records besides the live list: a periodic checkpoint,
+/// or the exit capture a `break` leaves for the one block after the loop.
 #[derive(Clone, Copy)]
-struct SnapAccumulators {
-    finished_estimate: f64,
-    finished_error: f64,
-    threshold_frozen_error: f64,
-    function_evaluations: u64,
-    regions_generated: u64,
-    previous_cumulative: Option<f64>,
-    latest_estimate: f64,
-    latest_error: f64,
+struct Capture {
+    /// The iteration-entry state, or the current one.
+    state: LoopState,
+    next_iteration: usize,
+    converged: bool,
+    /// Whether the parent integrals still pair with the live list (not after
+    /// a failed split, which leaves the filtered survivors).
+    keep_parents: bool,
 }
 
 /// The PAGANI integrator.
@@ -187,19 +212,6 @@ impl Pagani {
     /// Panics if the region dimension does not match the integrand dimension.
     pub fn integrate_region<F: Integrand + ?Sized>(&self, f: &F, region: &Region) -> PaganiOutput {
         self.integrate_region_in(f, region, &ScratchArena::default())
-    }
-
-    /// Integrate `f` over its default bounds, drawing scratch storage from `arena`.
-    ///
-    /// Recycling is value-transparent: the result is bit-identical to
-    /// [`Pagani::integrate`], whatever the arena already holds.  A caller that
-    /// runs many jobs — the batch engine's workers above all — passes one
-    /// long-lived arena so region lists, estimate arrays and masks are reused
-    /// across iterations *and* across jobs instead of reallocated per
-    /// generation.
-    pub fn integrate_in<F: Integrand + ?Sized>(&self, f: &F, arena: &ScratchArena) -> PaganiOutput {
-        let (lo, hi) = f.default_bounds();
-        self.integrate_region_in(f, &Region::new(lo, hi), arena)
     }
 
     /// Integrate `f` over an explicit region, drawing scratch storage from `arena`.
@@ -274,7 +286,8 @@ impl Pagani {
     /// the captured run stopped.
     ///
     /// The integrand must match the one the snapshot was taken from: the
-    /// driver checks dimensionality and structural consistency, but the
+    /// driver checks dimensionality, structural consistency and that every
+    /// region is finite, non-degenerate and inside the root, but the
     /// function body itself is the caller's responsibility (snapshots store
     /// only the integrand's name).  Given the same integrand, configuration
     /// and an equivalently provisioned device, the continuation performs the
@@ -292,7 +305,7 @@ impl Pagani {
         cancel: &CancelToken,
     ) -> Result<ResumableOutput, ResumeError> {
         let start = Instant::now();
-        snapshot.validate().map_err(|e| match e {
+        snapshot.validate_geometry().map_err(|e| match e {
             SnapshotError::Schema(what) => ResumeError::Corrupt(what),
             _ => ResumeError::Corrupt("snapshot failed validation"),
         })?;
@@ -320,8 +333,8 @@ impl Pagani {
             integrand_id: f.name(),
             region: &region,
         };
-        let init = LoopInit::from_snapshot(snapshot);
-        Ok(self.run_from(f, arena, cancel, list, init, Some(&plan), start))
+        let from = LoopStart::resumed(list, snapshot);
+        Ok(self.run_from(f, arena, cancel, from, Some(&plan), start))
     }
 
     /// A run from the root `region`, the one fresh-start path behind
@@ -340,10 +353,7 @@ impl Pagani {
         ensure_matching_dims(f, region);
         let start = Instant::now();
         match self.start_list(f.dim(), region, arena) {
-            Ok(list) => {
-                let init = LoopInit::fresh(list.len() as u64);
-                self.run_from(f, arena, cancel, list, init, plan, start)
-            }
+            Ok(list) => self.run_from(f, arena, cancel, LoopStart::fresh(list), plan, start),
             Err(_) => ResumableOutput {
                 output: exhausted_at_start(start),
                 checkpoints: Vec::new(),
@@ -372,428 +382,320 @@ impl Pagani {
     }
 
     /// The breadth-first driver loop (Algorithm 2, lines 5-24), entered at
-    /// `init.start_iteration` with loop-carried state from `init` — zeroed
-    /// for a fresh run, restored from a snapshot for a resumed one.  With
-    /// `plan: None` no capture code runs and the float path is exactly the
-    /// historical `integrate_region_with` body.
-    #[allow(clippy::too_many_arguments)]
+    /// `from.iteration` with the loop state of `from` — zeroed for a fresh
+    /// run, restored from a snapshot for a resumed one.  With `plan: None`
+    /// no capture code runs and the float path is exactly the historical
+    /// `integrate_region_with` body.
     fn run_from<F: Integrand + ?Sized>(
         &self,
         f: &F,
         arena: &ScratchArena,
         cancel: &CancelToken,
-        mut list: RegionList,
-        init: LoopInit,
+        from: LoopStart,
         plan: Option<&SnapshotPlan<'_>>,
         start: Instant,
     ) -> ResumableOutput {
+        let LoopStart {
+            mut list,
+            mut parent_integrals,
+            mut state,
+            iteration: first_iteration,
+        } = from;
         let dim = list.dim();
         let rule = GenzMalik::new(dim);
         let pool = self.device.memory().clone();
         let tolerances = self.config.tolerances;
         let mut trace = ExecutionTrace::default();
         let mut checkpoints: Vec<Snapshot> = Vec::new();
-        let mut final_snapshot: Option<Snapshot> = None;
-
-        // Finished-region accumulators (v_f, e_f) and per-run counters.
-        let mut finished_estimate = init.finished_estimate;
-        let mut finished_error = init.finished_error;
-        // Error frozen specifically by the heuristic threshold classification.  It is
-        // capped at half of the allowed total error so that relative-error filtering
-        // (whose commitments are proportional to the frozen integral mass) always has
-        // headroom left and convergence is never ruled out by the heuristic alone.
-        let mut threshold_frozen_error = init.threshold_frozen_error;
-        let mut function_evaluations = init.function_evaluations;
-        let mut regions_generated = init.regions_generated;
-        let mut previous_cumulative: Option<f64> = init.previous_cumulative;
-        // Parent integral estimates aligned with the sibling layout of `list`
-        // (None on the first iteration, which has no parents).
-        let mut parent_integrals: Option<Vec<f64>> = init.parent_integrals;
-
-        let mut iterations_run = init.start_iteration;
+        let mut iterations_run = first_iteration;
         let mut termination = Termination::MaxIterations;
-        // Best cumulative estimates seen so far (active + finished); this is what a
-        // non-converged run reports, matching the paper's "return the latest integral
-        // and error estimate with a flag" behaviour (§3.5.2).
-        let mut latest_estimate = init.latest_estimate;
-        let mut latest_error = init.latest_error;
+        // What the `break` that ended the run asks the exit capture to record.
+        let mut exit: Option<Capture> = None;
 
-        for iteration in init.start_iteration..self.config.max_iterations {
-            // Loop-carried scalars as of the top of this iteration: every
-            // capture that means "about to run iteration `iteration`" uses
-            // these, so a resumed run re-enters with untouched state.
-            let entry_acc = SnapAccumulators {
-                finished_estimate,
-                finished_error,
-                threshold_frozen_error,
-                function_evaluations,
-                regions_generated,
-                previous_cumulative,
-                latest_estimate,
-                latest_error,
+        for iteration in first_iteration..self.config.max_iterations {
+            // Loop state as of the top of this iteration: every capture that
+            // means "about to run iteration `iteration`" records it, so a
+            // resumed run re-enters with untouched state.
+            let at_entry = Capture {
+                state,
+                next_iteration: iteration,
+                converged: false,
+                keep_parents: true,
             };
             // --- Cooperative cancellation (iteration boundary). -----------------
             if let Some(cancelled) = check_cancelled(cancel) {
                 termination = cancelled;
-                if let Some(plan) = plan {
-                    final_snapshot = Some(self.capture_snapshot(
-                        plan,
-                        &list,
-                        parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        false,
-                    ));
-                }
+                exit = Some(at_entry);
                 break;
             }
             if let Some(plan) = plan {
                 if plan.checkpoint_every > 0
-                    && iteration > init.start_iteration
-                    && (iteration - init.start_iteration) % plan.checkpoint_every == 0
+                    && iteration > first_iteration
+                    && (iteration - first_iteration) % plan.checkpoint_every == 0
                 {
                     checkpoints.push(self.capture_snapshot(
                         plan,
                         &list,
                         parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        false,
+                        at_entry,
                     ));
                 }
             }
             iterations_run = iteration + 1;
 
             // --- Evaluate all regions (line 10). --------------------------------
-            let evaluation = match evaluate_all_in(&self.device, &rule, f, &list, arena) {
-                Ok(e) => e,
-                Err(_) => {
-                    if let Some(plan) = plan {
-                        final_snapshot = Some(self.capture_snapshot(
-                            plan,
-                            &list,
-                            parent_integrals.as_deref(),
-                            entry_acc,
-                            iteration,
-                            false,
-                        ));
-                    }
-                    break;
-                }
+            let Ok(mut evaluation) = evaluate_all_in(&self.device, &rule, f, &list, arena) else {
+                exit = Some(at_entry);
+                break;
             };
-            function_evaluations += evaluation.function_evaluations;
-            let integrals = evaluation.integrals;
-            let mut errors = evaluation.errors;
-            let split_axes = evaluation.split_axes;
+            state.function_evaluations += evaluation.function_evaluations;
 
             // --- Two-level error refinement (line 11). --------------------------
             if self.config.two_level_errors {
                 if let Some(parents) = &parent_integrals {
-                    debug_assert_eq!(parents.len() * 2, integrals.len());
+                    debug_assert_eq!(parents.len() * 2, evaluation.integrals.len());
                     self.device.timed_section("postprocess.refine_error", || {
-                        refine_generation(&integrals, &mut errors, parents);
+                        refine_generation(&evaluation.integrals, &mut evaluation.errors, parents);
                     });
                 }
             }
+            let (integrals, errors) = (&evaluation.integrals, &evaluation.errors);
 
             // --- Relative-error classification (line 12). -----------------------
             let mut mask = arena.take_mask(integrals.len());
             self.device.timed_section("postprocess.classify", || {
                 rel_err_classify_into(
-                    &integrals,
-                    &errors,
+                    integrals,
+                    errors,
                     tolerances,
                     self.config.rel_err_filtering,
                     &mut mask,
                 );
             });
 
-            // --- Global reductions and termination (lines 13-16). ---------------
-            let (iter_estimate, iter_error) =
-                self.device.timed_section("postprocess.reduce", || {
-                    (
-                        self.device.reduce_sum(&integrals),
-                        self.device.reduce_sum(&errors),
-                    )
+            exit = 'generation: {
+                // --- Global reductions and termination (lines 13-16). -----------
+                let (iter_estimate, iter_error) =
+                    self.device.timed_section("postprocess.reduce", || {
+                        (
+                            self.device.reduce_sum(integrals),
+                            self.device.reduce_sum(errors),
+                        )
+                    });
+                let cumulative_estimate = iter_estimate + state.finished_estimate;
+                let cumulative_error = iter_error + state.finished_error;
+                state.latest_estimate = cumulative_estimate;
+                state.latest_error = cumulative_error;
+                if tolerances.satisfied_by(cumulative_estimate, cumulative_error) {
+                    termination = Termination::Converged;
+                    self.push_iteration_record(
+                        &mut trace,
+                        iteration,
+                        list.len(),
+                        active_count(&mask),
+                        &state,
+                        false,
+                    );
+                    state.finished_estimate = cumulative_estimate;
+                    state.finished_error = cumulative_error;
+                    // Pre-fold state: resuming re-runs this generation, so a
+                    // tighter tolerance can keep refining the same tree.
+                    break 'generation Some(Capture {
+                        converged: true,
+                        ..at_entry
+                    });
+                }
+
+                // --- Heuristic threshold classification (line 17, §3.5.2). ------
+                let active_now = active_count(&mask);
+                let estimate_converged = state.previous_cumulative.is_some_and(|prev| {
+                    (cumulative_estimate - prev).abs() <= cumulative_estimate.abs() * tolerances.rel
                 });
-            let cumulative_estimate = iter_estimate + finished_estimate;
-            let cumulative_error = iter_error + finished_error;
-            latest_estimate = cumulative_estimate;
-            latest_error = cumulative_error;
-            if tolerances.satisfied_by(cumulative_estimate, cumulative_error) {
-                termination = Termination::Converged;
+                // Splitting keeps the filtered copy and the doubled generation alive at
+                // the same time as the current list, so require room for 3× the active
+                // geometry on top of what is already allocated.
+                let bytes_needed = RegionList::bytes_for(3 * active_now, dim);
+                let memory_pressure = !pool.can_allocate(bytes_needed);
+                let trigger = match self.config.heuristic_filtering {
+                    HeuristicFiltering::Disabled => None,
+                    HeuristicFiltering::MemoryExhaustionOnly => {
+                        memory_pressure.then_some(ThresholdTrigger::MemoryPressure)
+                    }
+                    HeuristicFiltering::Full => {
+                        if memory_pressure {
+                            Some(ThresholdTrigger::MemoryPressure)
+                        } else if estimate_converged {
+                            Some(ThresholdTrigger::EstimateConverged)
+                        } else {
+                            None
+                        }
+                    }
+                };
+                let mut threshold_invoked = false;
+                if let Some(trigger) = trigger {
+                    let allowed_total_error =
+                        (cumulative_estimate.abs() * tolerances.rel).max(tolerances.abs);
+                    let headroom = allowed_total_error - state.finished_error;
+                    let error_budget = match trigger {
+                        // Integral already solved: be conservative so that relative-error
+                        // filtering keeps enough headroom of its own.
+                        ThresholdTrigger::EstimateConverged => {
+                            headroom.min(0.5 * allowed_total_error - state.threshold_frozen_error)
+                        }
+                        // Memory is the binding constraint: spend whatever headroom is
+                        // left rather than fail outright.
+                        ThresholdTrigger::MemoryPressure => headroom,
+                    };
+                    let outcome = self.device.timed_section("threshold.search", || {
+                        threshold_classify(
+                            &mask,
+                            errors,
+                            error_budget,
+                            iter_error,
+                            ThresholdPolicy::default(),
+                            arena,
+                        )
+                    });
+                    threshold_invoked = true;
+                    if self.config.collect_trace {
+                        trace.threshold_searches.push(ThresholdSearchRecord {
+                            iteration,
+                            trigger,
+                            probes: outcome.probes.clone(),
+                            successful: outcome.successful,
+                        });
+                    }
+                    if outcome.successful {
+                        state.threshold_frozen_error += outcome.newly_committed_error;
+                        arena.put_mask(std::mem::replace(&mut mask, outcome.mask));
+                    }
+                }
+
+                // --- Accumulate finished contributions (lines 18-19). -----------
+                let (active_estimate, active_error) =
+                    self.device.timed_section("postprocess.reduce", || {
+                        (
+                            self.device.reduce_masked_sum(integrals, &mask),
+                            self.device.reduce_masked_sum(errors, &mask),
+                        )
+                    });
+                state.finished_estimate += iter_estimate - active_estimate;
+                state.finished_error += iter_error - active_error;
+                state.previous_cumulative = Some(cumulative_estimate);
+
                 self.push_iteration_record(
                     &mut trace,
                     iteration,
                     list.len(),
                     active_count(&mask),
-                    cumulative_estimate,
-                    cumulative_error,
-                    finished_estimate,
-                    finished_error,
-                    false,
+                    &state,
+                    threshold_invoked,
                 );
-                if let Some(plan) = plan {
-                    // Pre-fold state: resuming re-runs this generation, so a
-                    // tighter tolerance can keep refining the same tree.
-                    final_snapshot = Some(self.capture_snapshot(
-                        plan,
-                        &list,
-                        parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        true,
-                    ));
-                }
-                finished_estimate = cumulative_estimate;
-                finished_error = cumulative_error;
-                arena.put_f64(integrals);
-                arena.put_f64(errors);
-                arena.put_axes(split_axes);
-                arena.put_mask(mask);
-                break;
-            }
 
-            // --- Heuristic threshold classification (line 17, §3.5.2). ----------
-            let active_now = active_count(&mask);
-            let estimate_converged = previous_cumulative.is_some_and(|prev| {
-                (cumulative_estimate - prev).abs() <= cumulative_estimate.abs() * tolerances.rel
-            });
-            // Splitting keeps the filtered copy and the doubled generation alive at
-            // the same time as the current list, so require room for 3× the active
-            // geometry on top of what is already allocated.
-            let bytes_needed = RegionList::bytes_for(3 * active_now, dim);
-            let memory_pressure = !pool.can_allocate(bytes_needed);
-            let trigger = match self.config.heuristic_filtering {
-                HeuristicFiltering::Disabled => None,
-                HeuristicFiltering::MemoryExhaustionOnly => {
-                    memory_pressure.then_some(ThresholdTrigger::MemoryPressure)
-                }
-                HeuristicFiltering::Full => {
-                    if memory_pressure {
-                        Some(ThresholdTrigger::MemoryPressure)
-                    } else if estimate_converged {
-                        Some(ThresholdTrigger::EstimateConverged)
-                    } else {
-                        None
-                    }
-                }
-            };
-            let mut threshold_invoked = false;
-            if let Some(trigger) = trigger {
-                let allowed_total_error =
-                    (cumulative_estimate.abs() * tolerances.rel).max(tolerances.abs);
-                let headroom = allowed_total_error - finished_error;
-                let error_budget = match trigger {
-                    // Integral already solved: be conservative so that relative-error
-                    // filtering keeps enough headroom of its own.
-                    ThresholdTrigger::EstimateConverged => {
-                        headroom.min(0.5 * allowed_total_error - threshold_frozen_error)
-                    }
-                    // Memory is the binding constraint: spend whatever headroom is
-                    // left rather than fail outright.
-                    ThresholdTrigger::MemoryPressure => headroom,
-                };
-                let outcome = self.device.timed_section("threshold.search", || {
-                    threshold_classify(
-                        &mask,
-                        &errors,
-                        error_budget,
-                        iter_error,
-                        ThresholdPolicy::default(),
-                        arena,
-                    )
-                });
-                threshold_invoked = true;
-                if self.config.collect_trace {
-                    trace.threshold_searches.push(ThresholdSearchRecord {
-                        iteration,
-                        trigger,
-                        probes: outcome.probes.clone(),
-                        successful: outcome.successful,
-                    });
-                }
-                if outcome.successful {
-                    threshold_frozen_error += outcome.newly_committed_error;
-                    arena.put_mask(std::mem::replace(&mut mask, outcome.mask));
-                }
-            }
-
-            // --- Accumulate finished contributions (lines 18-19). ---------------
-            let (active_estimate, active_error) =
-                self.device.timed_section("postprocess.reduce", || {
-                    (
-                        self.device.reduce_masked_sum(&integrals, &mask),
-                        self.device.reduce_masked_sum(&errors, &mask),
-                    )
-                });
-            finished_estimate += iter_estimate - active_estimate;
-            finished_error += iter_error - active_error;
-            previous_cumulative = Some(cumulative_estimate);
-
-            self.push_iteration_record(
-                &mut trace,
-                iteration,
-                list.len(),
-                active_count(&mask),
-                cumulative_estimate,
-                cumulative_error,
-                finished_estimate,
-                finished_error,
-                threshold_invoked,
-            );
-
-            // --- Filter out finished regions (line 20). --------------------------
-            if active_count(&mask) == 0 {
-                // Everything was classified finished; the cumulative estimates are
-                // final.  (With same-sign estimates this implies convergence by
-                // Lemma 3.1; otherwise report the budget-based status.)
-                termination = if tolerances.satisfied_by(finished_estimate, finished_error) {
-                    Termination::Converged
-                } else {
-                    Termination::MaxIterations
-                };
-                if let Some(plan) = plan {
+                // --- Filter out finished regions (line 20). ----------------------
+                if active_count(&mask) == 0 {
+                    // Everything was classified finished; the cumulative estimates are
+                    // final.  (With same-sign estimates this implies convergence by
+                    // Lemma 3.1; otherwise report the budget-based status.)
+                    termination =
+                        if tolerances.satisfied_by(state.finished_estimate, state.finished_error) {
+                            Termination::Converged
+                        } else {
+                            Termination::MaxIterations
+                        };
                     // The folded totals are final, but the pre-fold tree is
                     // still the right warm-start state for a tighter run.
-                    final_snapshot = Some(self.capture_snapshot(
-                        plan,
-                        &list,
-                        parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        termination == Termination::Converged,
-                    ));
+                    break 'generation Some(Capture {
+                        converged: termination == Termination::Converged,
+                        ..at_entry
+                    });
                 }
-                arena.put_f64(integrals);
-                arena.put_f64(errors);
-                arena.put_axes(split_axes);
-                arena.put_mask(mask);
-                break;
-            }
-            let filter_result = self
-                .device
-                .timed_section("filter.compact", || list.filter_in(&mask, &pool, arena));
-            let filtered = match filter_result {
-                Ok(filtered) => filtered,
-                Err(_) => {
+                let filter_result = self
+                    .device
+                    .timed_section("filter.compact", || list.filter_in(&mask, &pool, arena));
+                let Ok(filtered) = filter_result else {
                     termination = Termination::MemoryExhausted;
-                    if let Some(plan) = plan {
-                        final_snapshot = Some(self.capture_snapshot(
-                            plan,
-                            &list,
-                            parent_integrals.as_deref(),
-                            entry_acc,
-                            iteration,
-                            false,
-                        ));
+                    break 'generation Some(at_entry);
+                };
+                let mut active_integrals = arena.take_f64(active_now);
+                scan::compact_by_mask_into(integrals, &mask, &mut active_integrals);
+                let mut active_axes = arena.take_axes(active_now);
+                scan::compact_by_mask_into(&evaluation.split_axes, &mask, &mut active_axes);
+                list.retire(arena);
+
+                // --- Update parents and split every active region (lines 21-23). -
+                let split_result = self.device.timed_section("filter.split", || {
+                    filtered.split_all_in(&active_axes, &pool, arena)
+                });
+                arena.put_axes(active_axes);
+                match split_result {
+                    Ok(children) => {
+                        state.regions_generated += children.len() as u64;
+                        if let Some(old) = parent_integrals.replace(active_integrals) {
+                            arena.put_f64(old);
+                        }
+                        filtered.retire(arena);
+                        list = children;
+                        None
                     }
-                    break;
+                    Err(_) => {
+                        // Memory exhausted and no further subdivision possible
+                        // (§3.5.2).  The pre-split geometry is gone: persist the
+                        // filtered survivors with this iteration's state instead.
+                        // No parents: the first resumed generation skips
+                        // two-level refinement.
+                        termination = Termination::MemoryExhausted;
+                        arena.put_f64(active_integrals);
+                        list = filtered;
+                        Some(Capture {
+                            state,
+                            next_iteration: iterations_run,
+                            converged: false,
+                            keep_parents: false,
+                        })
+                    }
                 }
             };
-            let mut active_integrals = arena.take_f64(active_now);
-            scan::compact_by_mask_into(&integrals, &mask, &mut active_integrals);
-            let mut active_axes = arena.take_axes(active_now);
-            scan::compact_by_mask_into(&split_axes, &mask, &mut active_axes);
-            list.retire(arena);
-
-            // --- Update parents and split every active region (lines 21-23). -----
-            let split_result = self.device.timed_section("filter.split", || {
-                filtered.split_all_in(&active_axes, &pool, arena)
-            });
-            match split_result {
-                Ok(children) => {
-                    regions_generated += children.len() as u64;
-                    if let Some(old) = parent_integrals.replace(active_integrals) {
-                        arena.put_f64(old);
-                    }
-                    filtered.retire(arena);
-                    list = children;
-                }
-                Err(_) => {
-                    // Memory exhausted and no further subdivision possible (§3.5.2).
-                    termination = Termination::MemoryExhausted;
-                    list = filtered;
-                    if let Some(plan) = plan {
-                        // The pre-split geometry is gone; persist the
-                        // filtered survivors with this iteration's
-                        // accumulators instead.  No parents: the first
-                        // resumed generation skips two-level refinement.
-                        let acc = SnapAccumulators {
-                            finished_estimate,
-                            finished_error,
-                            threshold_frozen_error,
-                            function_evaluations,
-                            regions_generated,
-                            previous_cumulative,
-                            latest_estimate,
-                            latest_error,
-                        };
-                        final_snapshot = Some(self.capture_snapshot(
-                            plan,
-                            &list,
-                            None,
-                            acc,
-                            iterations_run,
-                            false,
-                        ));
-                    }
-                    break;
-                }
-            }
 
             // --- Shelve this generation's arrays for the next one. ---------------
-            arena.put_f64(integrals);
-            arena.put_f64(errors);
-            arena.put_axes(split_axes);
+            evaluation.retire(arena);
             arena.put_mask(mask);
-            arena.put_axes(active_axes);
-        }
-        // Natural iteration exhaustion: no break captured a snapshot, but the
-        // surviving generation is still a valid resume point.
-        if let Some(plan) = plan {
-            if final_snapshot.is_none() && !list.is_empty() {
-                let acc = SnapAccumulators {
-                    finished_estimate,
-                    finished_error,
-                    threshold_frozen_error,
-                    function_evaluations,
-                    regions_generated,
-                    previous_cumulative,
-                    latest_estimate,
-                    latest_error,
-                };
-                final_snapshot = Some(self.capture_snapshot(
-                    plan,
-                    &list,
-                    parent_integrals.as_deref(),
-                    acc,
-                    iterations_run,
-                    false,
-                ));
+            if exit.is_some() {
+                break;
             }
         }
+        // The one exit capture.  With no `break`, the iteration budget ran out
+        // and the surviving generation is still a valid resume point.
+        let final_snapshot = plan.map(|plan| {
+            let capture = exit.unwrap_or(Capture {
+                state,
+                next_iteration: iterations_run,
+                converged: false,
+                keep_parents: true,
+            });
+            self.capture_snapshot(plan, &list, parent_integrals.as_deref(), capture)
+        });
         // The surviving list and parent array go back to the arena so the next
         // job on this arena starts from recycled storage.
         list.retire(arena);
-        if let Some(parents) = parent_integrals.take() {
+        if let Some(parents) = parent_integrals {
             arena.put_f64(parents);
         }
 
         // A converged run already folded everything into the finished accumulators; a
         // non-converged run reports the latest cumulative (active + finished) totals.
-        if termination != Termination::Converged {
-            finished_estimate = latest_estimate;
-            finished_error = latest_error;
-        }
-
+        let (estimate, error_estimate) = if termination == Termination::Converged {
+            (state.finished_estimate, state.finished_error)
+        } else {
+            (state.latest_estimate, state.latest_error)
+        };
         let result = IntegrationResult {
-            estimate: finished_estimate,
-            error_estimate: finished_error,
+            estimate,
+            error_estimate,
             termination,
             iterations: iterations_run,
-            function_evaluations,
-            regions_generated,
+            function_evaluations: state.function_evaluations,
+            regions_generated: state.regions_generated,
             active_regions_final: trace
                 .iterations
                 .last()
@@ -814,10 +716,9 @@ impl Pagani {
         plan: &SnapshotPlan<'_>,
         list: &RegionList,
         parent_integrals: Option<&[f64]>,
-        acc: SnapAccumulators,
-        next_iteration: usize,
-        converged: bool,
+        capture: Capture,
     ) -> Snapshot {
+        let state = capture.state;
         Snapshot {
             version: SNAPSHOT_FORMAT_VERSION,
             integrand_id: plan.integrand_id.clone(),
@@ -825,34 +726,33 @@ impl Pagani {
             region_hi: plan.region.hi().to_vec(),
             rel_tol: self.config.tolerances.rel,
             abs_tol: self.config.tolerances.abs,
-            converged,
+            converged: capture.converged,
             dim: list.dim(),
             lefts: list.lefts().to_vec(),
             lengths: list.lengths().to_vec(),
-            parent_integrals: parent_integrals.map(<[f64]>::to_vec),
-            finished_estimate: acc.finished_estimate,
-            finished_error: acc.finished_error,
-            threshold_frozen_error: acc.threshold_frozen_error,
-            function_evaluations: acc.function_evaluations,
-            regions_generated: acc.regions_generated,
-            previous_cumulative: acc.previous_cumulative,
-            next_iteration,
-            latest_estimate: acc.latest_estimate,
-            latest_error: acc.latest_error,
+            parent_integrals: parent_integrals
+                .filter(|_| capture.keep_parents)
+                .map(<[f64]>::to_vec),
+            finished_estimate: state.finished_estimate,
+            finished_error: state.finished_error,
+            threshold_frozen_error: state.threshold_frozen_error,
+            function_evaluations: state.function_evaluations,
+            regions_generated: state.regions_generated,
+            previous_cumulative: state.previous_cumulative,
+            next_iteration: capture.next_iteration,
+            latest_estimate: state.latest_estimate,
+            latest_error: state.latest_error,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Record one iteration; the cumulative totals are the state's latest.
     fn push_iteration_record(
         &self,
         trace: &mut ExecutionTrace,
         iteration: usize,
         regions_processed: usize,
         active_after_classify: usize,
-        cumulative_estimate: f64,
-        cumulative_error: f64,
-        finished_estimate: f64,
-        finished_error: f64,
+        state: &LoopState,
         threshold_invoked: bool,
     ) {
         if !self.config.collect_trace {
@@ -862,10 +762,10 @@ impl Pagani {
             iteration,
             regions_processed,
             active_after_classify,
-            cumulative_estimate,
-            cumulative_error,
-            finished_estimate,
-            finished_error,
+            cumulative_estimate: state.latest_estimate,
+            cumulative_error: state.latest_error,
+            finished_estimate: state.finished_estimate,
+            finished_error: state.finished_error,
             memory_used: self.device.memory().usage().used,
             threshold_invoked,
         });

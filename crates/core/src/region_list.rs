@@ -6,7 +6,7 @@
 //! arrays are allocated from the simulated device's [`MemoryPool`], so subdivision
 //! fails with `OutOfDeviceMemory` at the same point it would fail on the 16 GiB V100.
 //!
-//! The generation produced by [`RegionList::split_all`] uses the sibling layout the
+//! The generation produced by [`RegionList::split_all_in`] uses the sibling layout the
 //! `RefineError` kernel expects: splitting `m` parents yields `2m` children with all
 //! left halves in slots `0..m` and all right halves in slots `m..2m`; child `i` and
 //! `i ± m` are siblings and their parent is `i mod m`.
@@ -61,15 +61,8 @@ impl RegionList {
         2 * count * dim * std::mem::size_of::<f64>()
     }
 
-    /// Build the initial list by uniformly splitting `root` into `d` parts per axis.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the `d^dim` regions do not fit in the pool.
-    pub fn initial_split(root: &Region, d: usize, pool: &MemoryPool) -> DeviceResult<Self> {
-        Self::initial_split_in(root, d, pool, &ScratchArena::default())
-    }
-
-    /// [`RegionList::initial_split`] drawing its backing storage from `arena`.
+    /// Build the initial list by uniformly splitting `root` into `d` parts per
+    /// axis, drawing its backing storage from `arena`.
     ///
     /// # Errors
     /// Returns `OutOfDeviceMemory` if the `d^dim` regions do not fit in the pool.
@@ -104,36 +97,6 @@ impl RegionList {
             len: count,
             lefts,
             lengths,
-        })
-    }
-
-    /// Build a list from explicit owned regions (used by the baselines and tests).
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the regions do not fit in the pool.
-    ///
-    /// # Panics
-    /// Panics if `regions` is empty or the regions disagree in dimension.
-    pub fn from_regions(regions: &[Region], pool: &MemoryPool) -> DeviceResult<Self> {
-        assert!(!regions.is_empty(), "region list cannot be empty");
-        let dim = regions[0].dim();
-        assert!(
-            regions.iter().all(|r| r.dim() == dim),
-            "regions must share a dimension"
-        );
-        let mut lefts = Vec::with_capacity(regions.len() * dim);
-        let mut lengths = Vec::with_capacity(regions.len() * dim);
-        for region in regions {
-            for axis in 0..dim {
-                lefts.push(region.lo()[axis]);
-                lengths.push(region.extent(axis));
-            }
-        }
-        Ok(Self {
-            dim,
-            len: regions.len(),
-            lefts: pool.adopt_vec(lefts)?,
-            lengths: pool.adopt_vec(lengths)?,
         })
     }
 
@@ -249,22 +212,12 @@ impl RegionList {
             .sum()
     }
 
-    /// Keep only the regions whose `mask` entry is non-zero.
+    /// Keep only the regions whose `mask` entry is non-zero, drawing the
+    /// compacted copy's storage from `arena`.
     ///
     /// # Errors
     /// Returns `OutOfDeviceMemory` if the compacted copy does not fit (the original
     /// list is still alive while the copy is built, as on the GPU).
-    ///
-    /// # Panics
-    /// Panics if `mask.len() != self.len()`.
-    pub fn filter(&self, mask: &[u8], pool: &MemoryPool) -> DeviceResult<Self> {
-        self.filter_in(mask, pool, &ScratchArena::default())
-    }
-
-    /// [`RegionList::filter`] drawing the compacted copy's storage from `arena`.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the compacted copy does not fit.
     ///
     /// # Panics
     /// Panics if `mask.len() != self.len()`.
@@ -299,24 +252,13 @@ impl RegionList {
         })
     }
 
-    /// Split every region in half along its per-region `axes` entry, producing the
-    /// next generation in the sibling layout described in the module docs.
+    /// Split every region in half along its per-region `axes` entry, producing
+    /// the next generation in the sibling layout described in the module docs,
+    /// drawing the children's storage from `arena`.
     ///
     /// # Errors
     /// Returns `OutOfDeviceMemory` if the doubled list does not fit while this one is
     /// still allocated — the condition PAGANI's memory-exhaustion handling watches for.
-    ///
-    /// # Panics
-    /// Panics if `axes.len() != self.len()` or any axis is out of range.
-    pub fn split_all(&self, axes: &[usize], pool: &MemoryPool) -> DeviceResult<Self> {
-        self.split_all_in(axes, pool, &ScratchArena::default())
-    }
-
-    /// [`RegionList::split_all`] drawing the children's storage from `arena`.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the doubled list does not fit while this
-    /// one is still allocated.
     ///
     /// # Panics
     /// Panics if `axes.len() != self.len()` or any axis is out of range.
@@ -382,7 +324,7 @@ mod tests {
     fn initial_split_covers_the_root() {
         let pool = big_pool();
         let root = Region::unit_cube(3);
-        let list = RegionList::initial_split(&root, 4, &pool).unwrap();
+        let list = RegionList::initial_split_in(&root, 4, &pool, &ScratchArena::default()).unwrap();
         assert_eq!(list.len(), 64);
         assert_eq!(list.dim(), 3);
         assert!((list.total_volume() - 1.0).abs() < 1e-12);
@@ -392,7 +334,7 @@ mod tests {
     fn initial_split_charges_memory() {
         let pool = big_pool();
         let root = Region::unit_cube(2);
-        let list = RegionList::initial_split(&root, 8, &pool).unwrap();
+        let list = RegionList::initial_split_in(&root, 8, &pool, &ScratchArena::default()).unwrap();
         assert_eq!(list.charged_bytes(), RegionList::bytes_for(64, 2));
         assert_eq!(pool.usage().used, list.charged_bytes());
     }
@@ -401,14 +343,14 @@ mod tests {
     fn out_of_memory_surfaces() {
         let pool = MemoryPool::new(128);
         let root = Region::unit_cube(3);
-        assert!(RegionList::initial_split(&root, 8, &pool).is_err());
+        assert!(RegionList::initial_split_in(&root, 8, &pool, &ScratchArena::default()).is_err());
     }
 
     #[test]
     fn region_roundtrip() {
         let pool = big_pool();
         let root = Region::new(vec![-1.0, 2.0], vec![1.0, 6.0]);
-        let list = RegionList::initial_split(&root, 2, &pool).unwrap();
+        let list = RegionList::initial_split_in(&root, 2, &pool, &ScratchArena::default()).unwrap();
         // Region 0 is the lowest-corner cell.
         let r0 = list.region(0);
         assert_eq!(r0.lo(), &[-1.0, 2.0]);
@@ -422,8 +364,9 @@ mod tests {
     #[test]
     fn centered_view_matches_region() {
         let pool = big_pool();
-        let list = RegionList::from_regions(&[Region::new(vec![0.0, 1.0], vec![2.0, 5.0])], &pool)
-            .unwrap();
+        let list =
+            RegionList::from_flat_in(2, &[0.0, 1.0], &[2.0, 4.0], &pool, &ScratchArena::default())
+                .unwrap();
         let mut center = [0.0; 2];
         let mut halfwidth = [0.0; 2];
         list.centered_view(0, &mut center, &mut halfwidth);
@@ -434,12 +377,18 @@ mod tests {
     #[test]
     fn split_all_uses_sibling_layout() {
         let pool = big_pool();
-        let regions = vec![
-            Region::new(vec![0.0, 0.0], vec![1.0, 1.0]),
-            Region::new(vec![2.0, 0.0], vec![4.0, 2.0]),
-        ];
-        let list = RegionList::from_regions(&regions, &pool).unwrap();
-        let children = list.split_all(&[0, 1], &pool).unwrap();
+        // Regions [0, 1]² and [2, 4] × [0, 2].
+        let list = RegionList::from_flat_in(
+            2,
+            &[0.0, 0.0, 2.0, 0.0],
+            &[1.0, 1.0, 2.0, 2.0],
+            &pool,
+            &ScratchArena::default(),
+        )
+        .unwrap();
+        let children = list
+            .split_all_in(&[0, 1], &pool, &ScratchArena::default())
+            .unwrap();
         assert_eq!(children.len(), 4);
         // Parent 0 split along axis 0: left child occupies [0, 0.5].
         assert_eq!(children.region(0).hi()[0], 0.5);
@@ -455,8 +404,10 @@ mod tests {
     fn filter_keeps_marked_regions_in_order() {
         let pool = big_pool();
         let root = Region::unit_cube(1);
-        let list = RegionList::initial_split(&root, 4, &pool).unwrap();
-        let filtered = list.filter(&[0, 1, 0, 1], &pool).unwrap();
+        let list = RegionList::initial_split_in(&root, 4, &pool, &ScratchArena::default()).unwrap();
+        let filtered = list
+            .filter_in(&[0, 1, 0, 1], &pool, &ScratchArena::default())
+            .unwrap();
         assert_eq!(filtered.len(), 2);
         assert_eq!(filtered.region(0).lo()[0], 0.25);
         assert_eq!(filtered.region(1).lo()[0], 0.75);
@@ -466,8 +417,16 @@ mod tests {
     fn memory_is_released_when_lists_drop() {
         let pool = big_pool();
         {
-            let list = RegionList::initial_split(&Region::unit_cube(3), 4, &pool).unwrap();
-            let children = list.split_all(&vec![0; list.len()], &pool).unwrap();
+            let list = RegionList::initial_split_in(
+                &Region::unit_cube(3),
+                4,
+                &pool,
+                &ScratchArena::default(),
+            )
+            .unwrap();
+            let children = list
+                .split_all_in(&vec![0; list.len()], &pool, &ScratchArena::default())
+                .unwrap();
             assert!(pool.usage().used >= children.charged_bytes());
         }
         assert_eq!(pool.usage().used, 0);
@@ -478,7 +437,8 @@ mod tests {
         let pool = big_pool();
         let arena = ScratchArena::new();
         let root = Region::unit_cube(3);
-        let plain = RegionList::initial_split(&root, 4, &pool).unwrap();
+        let plain =
+            RegionList::initial_split_in(&root, 4, &pool, &ScratchArena::default()).unwrap();
         let arenad = RegionList::initial_split_in(&root, 4, &pool, &arena).unwrap();
         assert_eq!(plain.len(), arenad.len());
         for i in 0..plain.len() {
@@ -487,12 +447,16 @@ mod tests {
         }
         let axes = vec![0usize; plain.len()];
         let mask: Vec<u8> = (0..plain.len()).map(|i| (i % 2) as u8).collect();
-        let plain_children = plain.split_all(&axes, &pool).unwrap();
+        let plain_children = plain
+            .split_all_in(&axes, &pool, &ScratchArena::default())
+            .unwrap();
         let arena_children = arenad.split_all_in(&axes, &pool, &arena).unwrap();
         for i in 0..plain_children.len() {
             assert_eq!(plain_children.lefts_of(i), arena_children.lefts_of(i));
         }
-        let plain_filtered = plain.filter(&mask, &pool).unwrap();
+        let plain_filtered = plain
+            .filter_in(&mask, &pool, &ScratchArena::default())
+            .unwrap();
         let arena_filtered = arenad.filter_in(&mask, &pool, &arena).unwrap();
         assert_eq!(plain_filtered.len(), arena_filtered.len());
         for i in 0..plain_filtered.len() {
@@ -520,8 +484,16 @@ mod tests {
         let dim = 2;
         let initial = RegionList::bytes_for(16, dim);
         let pool = MemoryPool::new(initial + RegionList::bytes_for(8, dim));
-        let list = RegionList::initial_split(&Region::unit_cube(dim), 4, &pool).unwrap();
-        assert!(list.split_all(&[0; 16], &pool).is_err());
+        let list = RegionList::initial_split_in(
+            &Region::unit_cube(dim),
+            4,
+            &pool,
+            &ScratchArena::default(),
+        )
+        .unwrap();
+        assert!(list
+            .split_all_in(&[0; 16], &pool, &ScratchArena::default())
+            .is_err());
     }
 
     proptest! {
@@ -534,9 +506,10 @@ mod tests {
             axis_seed in 0usize..1000,
         ) {
             let pool = MemoryPool::new(256 << 20);
-            let list = RegionList::initial_split(&Region::unit_cube(dim), d, &pool).unwrap();
+            let arena = ScratchArena::default();
+            let list = RegionList::initial_split_in(&Region::unit_cube(dim), d, &pool, &arena).unwrap();
             let axes: Vec<usize> = (0..list.len()).map(|i| (axis_seed + i) % dim).collect();
-            let children = list.split_all(&axes, &pool).unwrap();
+            let children = list.split_all_in(&axes, &pool, &arena).unwrap();
             prop_assert_eq!(children.len(), 2 * list.len());
             prop_assert!((children.total_volume() - list.total_volume()).abs() < 1e-10);
         }
@@ -547,13 +520,14 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let pool = MemoryPool::new(64 << 20);
-            let list = RegionList::initial_split(&Region::unit_cube(2), d, &pool).unwrap();
+            let arena = ScratchArena::default();
+            let list = RegionList::initial_split_in(&Region::unit_cube(2), d, &pool, &arena).unwrap();
             let mask: Vec<u8> = (0..list.len()).map(|i| ((seed >> (i % 59)) & 1) as u8).collect();
             let expected: f64 = (0..list.len())
                 .filter(|&i| mask[i] != 0)
                 .map(|i| list.lengths_of(i).iter().product::<f64>())
                 .sum();
-            let filtered = list.filter(&mask, &pool).unwrap();
+            let filtered = list.filter_in(&mask, &pool, &arena).unwrap();
             prop_assert!((filtered.total_volume() - expected).abs() < 1e-12);
         }
     }

@@ -604,9 +604,7 @@ fn complete_job(
         (&outcome, &shared.cache, &snapshot_json)
     {
         if let Ok(snapshot) = Snapshot::from_json_str(json) {
-            if snapshot.validate().is_ok() {
-                cache.store(job_cache_key(&job, shared.tolerances), None, Some(snapshot));
-            }
+            cache.store(job_cache_key(&job, shared.tolerances), None, Some(snapshot));
         }
     }
     state.complete(outcome);

@@ -360,9 +360,10 @@ fn handle_submit(shared: &Arc<WorkerShared>, connection: &Arc<Connection>, frame
     // A shipped warm-start snapshot goes into the worker's cache *before*
     // submission, so the service's ordinary warm-start machinery resumes the
     // checkpointed tree instead of restarting from scratch.  A bad snapshot
-    // is not fatal — the job runs cold.
+    // is not fatal — the job runs cold; the cache drops one taken of another
+    // integrand or region.
     if let Some(json) = &frame.snapshot_json {
-        if let Ok(snapshot) = Snapshot::from_json_str(json).and_then(|s| s.validate().map(|()| s)) {
+        if let Ok(snapshot) = Snapshot::from_json_str(json) {
             shared.cache.store(
                 job_cache_key(&job, shared.service.config().tolerances),
                 None,

@@ -46,7 +46,8 @@ pub enum ResumeError {
     /// The snapshot holds no regions to resume from.
     EmptySnapshot,
     /// The snapshot is internally inconsistent (mismatched geometry buffers,
-    /// a parent list that does not pair with the region count, ...).
+    /// a parent list that does not pair with the region count, a region that
+    /// is degenerate or outside the root, ...).
     Corrupt(&'static str),
     /// The snapshot's region tree does not fit in this device's memory.
     OutOfMemory,

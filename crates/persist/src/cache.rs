@@ -55,6 +55,15 @@ impl CacheKey {
         }
     }
 
+    /// Whether `snapshot` was taken of this key's integrand and root region
+    /// (bit-exact corners; tolerances may differ).
+    fn owns(&self, snapshot: &Snapshot) -> bool {
+        let bits = |corner: &[f64]| corner.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        snapshot.integrand_id == self.integrand_id
+            && bits(&snapshot.region_lo) == self.region_lo_bits
+            && bits(&snapshot.region_hi) == self.region_hi_bits
+    }
+
     fn approx_bytes(&self) -> usize {
         self.integrand_id.len()
             + (self.region_lo_bits.len() + self.region_hi_bits.len() + 2)
@@ -248,7 +257,12 @@ impl ResultCache {
     /// Store a result and/or snapshot under `key`, merging with any existing
     /// entry (a `None` part leaves the existing part in place) and evicting
     /// least-recently-used entries until the byte budget is met.
+    ///
+    /// A snapshot of another integrand or root region than `key` names is
+    /// dropped: resume rebuilds the root from the snapshot's own corners, so
+    /// filing it under this key would silently resume the wrong tree.
     pub fn store(&self, key: CacheKey, result: Option<CachedResult>, snapshot: Option<Snapshot>) {
+        let snapshot = snapshot.filter(|s| key.owns(s));
         if result.is_none() && snapshot.is_none() {
             return;
         }
@@ -335,10 +349,10 @@ mod tests {
         }
     }
 
-    fn snapshot(evals: u64, regions: usize) -> Snapshot {
+    fn snapshot(id: &str, evals: u64, regions: usize) -> Snapshot {
         Snapshot {
             version: SNAPSHOT_FORMAT_VERSION,
-            integrand_id: "f".to_string(),
+            integrand_id: id.to_string(),
             region_lo: vec![0.0, 0.0],
             region_hi: vec![1.0, 1.0],
             rel_tol: 1e-3,
@@ -374,8 +388,8 @@ mod tests {
     #[test]
     fn snapshot_lookup_spans_tolerances_and_prefers_deepest() {
         let cache = ResultCache::new(1 << 20);
-        cache.store(key("f", 1e-2), None, Some(snapshot(100, 4)));
-        cache.store(key("f", 1e-3), None, Some(snapshot(900, 16)));
+        cache.store(key("f", 1e-2), None, Some(snapshot("f", 100, 4)));
+        cache.store(key("f", 1e-3), None, Some(snapshot("f", 900, 16)));
         let k = key("f", 1e-6); // tolerance absent from the cache
         let best = cache
             .lookup_snapshot(&k.integrand_id, &k.region_lo_bits, &k.region_hi_bits)
@@ -391,7 +405,7 @@ mod tests {
     #[test]
     fn store_merges_result_and_snapshot_parts() {
         let cache = ResultCache::new(1 << 20);
-        cache.store(key("f", 1e-3), None, Some(snapshot(50, 2)));
+        cache.store(key("f", 1e-3), None, Some(snapshot("f", 50, 2)));
         cache.store(key("f", 1e-3), Some(result(60)), None);
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup_result(&key("f", 1e-3)).is_some());
@@ -403,12 +417,12 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_least_recently_used() {
-        let probe = snapshot(1, 64);
-        let one_entry = entry_bytes(&key("a", 1e-3), &None, &Some(probe.clone()));
+        let probe = |id| snapshot(id, 1, 64);
+        let one_entry = entry_bytes(&key("a", 1e-3), &None, &Some(probe("a")));
         // Room for two entries but not three.
         let cache = ResultCache::new(one_entry * 2 + one_entry / 2);
-        cache.store(key("a", 1e-3), None, Some(probe.clone()));
-        cache.store(key("b", 1e-3), None, Some(probe.clone()));
+        cache.store(key("a", 1e-3), None, Some(probe("a")));
+        cache.store(key("b", 1e-3), None, Some(probe("b")));
         // Touch "a" so "b" is the LRU victim when "c" arrives.
         assert!(cache
             .lookup_snapshot(
@@ -417,7 +431,7 @@ mod tests {
                 &key("a", 1e-3).region_hi_bits
             )
             .is_some());
-        cache.store(key("c", 1e-3), None, Some(probe));
+        cache.store(key("c", 1e-3), None, Some(probe("c")));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         assert!(!cache.contains_result(&key("b", 1e-3)));
@@ -430,26 +444,53 @@ mod tests {
     #[test]
     fn oversized_entry_is_dropped_not_cached() {
         let cache = ResultCache::new(64);
-        cache.store(key("big", 1e-3), None, Some(snapshot(1, 1024)));
+        cache.store(key("big", 1e-3), None, Some(snapshot("big", 1, 1024)));
         assert!(cache.is_empty());
         assert_eq!(cache.evictions(), 1);
         assert!(cache.bytes_used() <= cache.byte_budget());
     }
 
     #[test]
+    fn store_drops_snapshots_of_another_integrand_or_region() {
+        let cache = ResultCache::new(1 << 20);
+        cache.store(key("g", 1e-3), None, Some(snapshot("f", 10, 2)));
+        let mut shifted = snapshot("f", 20, 2);
+        shifted.region_hi = vec![1.0, 2.0];
+        cache.store(key("f", 1e-3), None, Some(shifted));
+        let mut negated = snapshot("f", 30, 2);
+        negated.region_lo = vec![-0.0, 0.0];
+        cache.store(key("f", 1e-3), Some(result(40)), Some(negated));
+        let (kf, kg) = (key("f", 1e-3), key("g", 1e-3));
+        assert!(cache
+            .lookup_snapshot(&kg.integrand_id, &kg.region_lo_bits, &kg.region_hi_bits)
+            .is_none());
+        assert!(cache
+            .lookup_snapshot(&kf.integrand_id, &kf.region_lo_bits, &kf.region_hi_bits)
+            .is_none());
+        // The result part of a store is kept; only the foreign snapshot goes.
+        assert_eq!(cache.lookup_result(&kf), Some(result(40)));
+        assert_eq!(cache.len(), 1);
+        // A snapshot of the key's own integrand and region is filed.
+        cache.store(kg.clone(), None, Some(snapshot("g", 50, 2)));
+        assert!(cache
+            .lookup_snapshot(&kg.integrand_id, &kg.region_lo_bits, &kg.region_hi_bits)
+            .is_some_and(|s| s.function_evaluations == 50));
+    }
+
+    #[test]
     fn peeks_do_not_perturb_lru_order() {
-        let probe = snapshot(1, 64);
-        let one_entry = entry_bytes(&key("a", 1e-3), &None, &Some(probe.clone()));
+        let probe = |id| snapshot(id, 1, 64);
+        let one_entry = entry_bytes(&key("a", 1e-3), &None, &Some(probe("a")));
         let cache = ResultCache::new(one_entry * 2 + one_entry / 2);
-        cache.store(key("a", 1e-3), None, Some(probe.clone()));
-        cache.store(key("b", 1e-3), None, Some(probe.clone()));
+        cache.store(key("a", 1e-3), None, Some(probe("a")));
+        cache.store(key("b", 1e-3), None, Some(probe("b")));
         // Peek "a" (non-bumping): "a" must still be the LRU victim.
         let ka = key("a", 1e-3);
         assert!(cache
             .peek_warm_start(&ka.integrand_id, &ka.region_lo_bits, &ka.region_hi_bits)
             .is_some());
         assert!(!cache.contains_result(&ka));
-        cache.store(key("c", 1e-3), None, Some(probe));
+        cache.store(key("c", 1e-3), None, Some(probe("c")));
         let gone = cache.lookup_snapshot(&ka.integrand_id, &ka.region_lo_bits, &ka.region_hi_bits);
         assert!(
             gone.is_none(),

@@ -232,6 +232,36 @@ impl Snapshot {
         Ok(())
     }
 
+    /// Everything [`validate`](Snapshot::validate) checks, plus the geometry
+    /// a resume rebuilds the region tree from.
+    ///
+    /// Rejects root corners that are non-finite or not strictly increasing
+    /// on every axis, any edge length that is non-finite or not positive,
+    /// and any left edge that is non-finite or outside the root's
+    /// `[lo, hi]` on its axis.  The decoder applies only the structural
+    /// checks, so any bit pattern still round-trips; resume applies these.
+    pub fn validate_geometry(&self) -> Result<(), SnapshotError> {
+        self.validate()?;
+        let root = || self.region_lo.iter().zip(&self.region_hi);
+        if !root().all(|(lo, hi)| lo.is_finite() && hi.is_finite() && lo < hi) {
+            return Err(SnapshotError::Schema(
+                "root corners must be finite with lo < hi on every axis",
+            ));
+        }
+        if !self.lengths.iter().all(|l| l.is_finite() && *l > 0.0) {
+            return Err(SnapshotError::Schema(
+                "region lengths must be finite and positive",
+            ));
+        }
+        let inside = |left: &[f64]| root().zip(left).all(|((lo, hi), x)| (lo..=hi).contains(&x));
+        if !self.lefts.chunks_exact(self.dim).all(inside) {
+            return Err(SnapshotError::Schema(
+                "region left edges must lie inside the root",
+            ));
+        }
+        Ok(())
+    }
+
     /// Serialize to the versioned JSON format.
     pub fn to_json_string(&self) -> String {
         Value::obj([
@@ -412,6 +442,49 @@ mod tests {
         let mut snap = sample();
         snap.parent_integrals = Some(vec![1.0, 2.0, 3.0]);
         assert!(snap.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_degenerate_or_escaping_geometry() {
+        assert_eq!(sample().validate_geometry(), Ok(()));
+        // (field, index, value): one coordinate of the valid sample each.
+        // Root is [0, 1] × [-1, 1]; regions 0 and 1 start at (0, -1) and
+        // (0.5, -1) with lengths (0.5, 2).
+        let cases: [(&str, usize, f64); 19] = [
+            ("region_lo", 0, f64::NAN),
+            ("region_lo", 1, f64::NEG_INFINITY),
+            ("region_lo", 0, 1.0),
+            ("region_hi", 0, f64::INFINITY),
+            ("region_hi", 1, -1.0),
+            ("region_hi", 0, 0.0),
+            ("lefts", 0, f64::NAN),
+            ("lefts", 1, f64::INFINITY),
+            ("lefts", 2, f64::NEG_INFINITY),
+            ("lefts", 0, -1.0),
+            ("lefts", 2, 1.5),
+            ("lefts", 3, -2.0),
+            ("lefts", 3, 1.0 + f64::EPSILON),
+            ("lengths", 0, f64::NAN),
+            ("lengths", 1, f64::INFINITY),
+            ("lengths", 2, 0.0),
+            ("lengths", 3, -1.0),
+            ("lengths", 0, -0.0),
+            ("lengths", 1, f64::NEG_INFINITY),
+        ];
+        for (field, index, value) in cases {
+            let mut snap = sample();
+            let coords = match field {
+                "region_lo" => &mut snap.region_lo,
+                "region_hi" => &mut snap.region_hi,
+                "lefts" => &mut snap.lefts,
+                _ => &mut snap.lengths,
+            };
+            coords[index] = value;
+            assert!(
+                snap.validate_geometry().is_err(),
+                "{field}[{index}] = {value} was accepted"
+            );
+        }
     }
 
     #[test]

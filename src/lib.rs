@@ -35,8 +35,7 @@
 //! ## One trait, five methods
 //!
 //! Every integrator implements [`Integrator`], so methods are values: build
-//! any of them from a [`MethodConfig`] (or the fluent [`IntegratorBuilder`])
-//! and sweep them through one loop:
+//! any of them from a [`MethodConfig`] and sweep them through one loop:
 //!
 //! ```
 //! use pagani::prelude::*;
@@ -157,7 +156,7 @@ pub use pagani_integrands as integrands;
 pub use pagani_persist as persist;
 pub use pagani_quadrature as quadrature;
 
-pub use pagani_baselines::{IntegratorBuilder, MethodConfig};
+pub use pagani_baselines::MethodConfig;
 pub use pagani_core::batch::integrate_batch;
 pub use pagani_core::{
     Capabilities, CostKey, CostModel, DeadlineInfeasible, DispatchMode, DistributedService,
@@ -172,8 +171,8 @@ pub use pagani_persist::{CacheKey, CachedResult, ResultCache, Snapshot, WarmStar
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use pagani_baselines::{
-        Cuhre, CuhreConfig, IntegratorBuilder, MethodConfig, MonteCarlo, MonteCarloConfig, Qmc,
-        QmcConfig, TwoPhase, TwoPhaseConfig,
+        Cuhre, CuhreConfig, MethodConfig, MonteCarlo, MonteCarloConfig, Qmc, QmcConfig, TwoPhase,
+        TwoPhaseConfig,
     };
     pub use pagani_core::{
         integrate_batch, BatchJob, CancelToken, Capabilities, CostKey, CostModel, DispatchMode,
@@ -211,8 +210,8 @@ mod tests {
     fn prelude_exposes_the_unified_front_door() {
         let f = FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]);
         let device = Device::test_small();
-        let integrator = IntegratorBuilder::pagani(PaganiConfig::test_small(Tolerances::rel(1e-6)))
-            .build(&device);
+        let integrator =
+            MethodConfig::Pagani(PaganiConfig::test_small(Tolerances::rel(1e-6))).build(&device);
         assert!(integrator.integrate(&f).converged());
         let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
             .device(device)

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use pagani::integrands::genz::{GenzFamily, GenzIntegrand};
 use pagani::persist::SNAPSHOT_FORMAT_VERSION;
 use pagani::prelude::*;
+use pagani::CacheKey;
 use pagani::{CountingBackend, CpuBackend};
 use proptest::prelude::*;
 
@@ -441,5 +442,193 @@ fn genz_instances_that_differ_only_in_parameters_never_share_a_cache_entry() {
         "the second Genz instance was served another instance's answer"
     );
     assert_eq!(service.metrics().cache_hits, 0);
+    service.shutdown();
+}
+
+/// Exit-path pin: a run stopped by `max_iterations` leaves its surviving
+/// generation as the final snapshot, and resuming it under a larger
+/// iteration budget lands on the uninterrupted run to the bit.
+#[test]
+fn max_iterations_exit_snapshot_resumes_bit_identically() {
+    for workers in worker_matrix(&[1, 2, 8]) {
+        let device = device_with_workers(workers);
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-6));
+        let f = bump().named("persist.max_iterations");
+        let region = Region::unit_cube(3);
+        let arena = ScratchArena::new();
+        let cancel = CancelToken::new();
+        let pagani = Pagani::new(device.clone(), config.clone());
+
+        let full = pagani.integrate_resumable(&f, &region, &arena, &cancel, 0);
+        assert!(full.output.result.converged(), "workers {workers}");
+        let stop_at = full.output.result.iterations / 2;
+        assert!(
+            stop_at >= 2,
+            "workers {workers}: the run must span several generations"
+        );
+
+        let capped = Pagani::new(
+            device,
+            PaganiConfig {
+                max_iterations: stop_at,
+                ..config
+            },
+        );
+        let stopped = capped.integrate_resumable(&f, &region, &arena, &cancel, 0);
+        assert_eq!(
+            stopped.output.result.termination,
+            Termination::MaxIterations,
+            "workers {workers}"
+        );
+        assert_eq!(
+            stopped.output.result.iterations, stop_at,
+            "workers {workers}"
+        );
+        let snapshot = stopped
+            .final_snapshot
+            .expect("an iteration-capped run leaves a snapshot");
+        assert_eq!(snapshot.next_iteration, stop_at, "workers {workers}");
+        assert!(!snapshot.converged, "workers {workers}");
+
+        let parsed = Snapshot::from_bytes(&snapshot.to_bytes()).expect("snapshot bytes parse back");
+        let resumed = pagani
+            .resume_from(&f, &parsed, &arena, &cancel)
+            .expect("an iteration-capped snapshot resumes");
+        let (a, b) = (&resumed.output.result, &full.output.result);
+        assert_eq!(
+            a.estimate.to_bits(),
+            b.estimate.to_bits(),
+            "workers {workers}"
+        );
+        assert_eq!(
+            a.error_estimate.to_bits(),
+            b.error_estimate.to_bits(),
+            "workers {workers}"
+        );
+        assert_eq!(a.termination, b.termination, "workers {workers}");
+        assert_eq!(a.iterations, b.iterations, "workers {workers}");
+        assert_eq!(
+            a.function_evaluations, b.function_evaluations,
+            "workers {workers}"
+        );
+        assert_eq!(
+            a.regions_generated, b.regions_generated,
+            "workers {workers}"
+        );
+    }
+}
+
+/// Exit-path pin: a run whose split does not fit ends `MemoryExhausted` and
+/// persists the filtered survivors with this iteration's counters and no
+/// parents; a device with more memory resumes it.
+#[test]
+fn split_failure_exit_snapshot_drops_parents_and_resumes() {
+    // 3-D, 64 initial regions, every region kept active: generation k holds
+    // 64·2^k regions of 48 bytes.  The filtered copy of generation 3 fits
+    // (2 × 512 regions live) but its doubling does not (3 × 512).
+    let regions_at_split = 64 * 2usize.pow(3);
+    let capacity = 48 * regions_at_split * 5 / 2;
+    let config = PaganiConfig::test_small(Tolerances::rel(1e-12))
+        .with_splits_per_axis(4)
+        .without_rel_err_filtering()
+        .with_heuristic_filtering(HeuristicFiltering::Disabled);
+    let f = bump().named("persist.split_failure");
+    let region = Region::unit_cube(3);
+    let arena = ScratchArena::new();
+    let cancel = CancelToken::new();
+    for workers in worker_matrix(&[1, 2, 8]) {
+        let small = Device::new(
+            DeviceConfig::test_small()
+                .with_memory_capacity(capacity)
+                .with_worker_threads(workers),
+        );
+        let run =
+            Pagani::new(small, config.clone()).integrate_resumable(&f, &region, &arena, &cancel, 0);
+        let result = &run.output.result;
+        assert_eq!(
+            result.termination,
+            Termination::MemoryExhausted,
+            "workers {workers}"
+        );
+        assert!(
+            result.iterations > 1,
+            "workers {workers}: the split must fail after the first generation"
+        );
+
+        let snapshot = run
+            .final_snapshot
+            .expect("a split-failure exit leaves a snapshot");
+        assert_eq!(snapshot.parent_integrals, None, "workers {workers}");
+        assert_eq!(
+            snapshot.next_iteration, result.iterations,
+            "workers {workers}"
+        );
+        assert_eq!(
+            snapshot.function_evaluations, result.function_evaluations,
+            "workers {workers}"
+        );
+        assert_eq!(snapshot.regions(), regions_at_split, "workers {workers}");
+
+        let roomy = Pagani::new(device_with_workers(workers), config.clone());
+        let resumed = roomy
+            .resume_from(&f, &snapshot, &arena, &cancel)
+            .expect("a larger device resumes the split-failure snapshot");
+        assert!(
+            resumed.output.result.function_evaluations > snapshot.function_evaluations,
+            "workers {workers}"
+        );
+    }
+}
+
+/// Snapshot identity: a converged snapshot of region A filed under region
+/// B's cache key is refused by the cache, so B runs cold and its result is
+/// a cold run of B to the bit — not a resume of A's tree.
+#[test]
+fn foreign_region_snapshot_is_not_resumed_under_another_key() {
+    let config = PaganiConfig::test_small(Tolerances::rel(1e-5));
+    let f = bump().named("persist.identity");
+    let region_a = Region::unit_cube(3);
+    let region_b = Region::new(vec![0.25; 3], vec![1.0; 3]);
+    let arena = ScratchArena::new();
+    let cancel = CancelToken::new();
+    let pagani = Pagani::new(device_with_workers(2), config.clone());
+    let snapshot_a = pagani
+        .integrate_resumable(&f, &region_a, &arena, &cancel, 0)
+        .final_snapshot
+        .expect("a converged run leaves a snapshot");
+    assert!(snapshot_a.converged);
+    let cold_b = pagani.integrate_region(&f, &region_b);
+    assert!(cold_b.result.converged());
+
+    let cache = Arc::new(ResultCache::new(1 << 20));
+    let key_b = CacheKey::new(
+        &f.name(),
+        region_b.lo(),
+        region_b.hi(),
+        config.tolerances.rel,
+        config.tolerances.abs,
+    );
+    cache.store(key_b, None, Some(snapshot_a));
+
+    let service = ServiceBuilder::new(config)
+        .device(device_with_workers(2))
+        .cache(Arc::clone(&cache))
+        .build();
+    let job = BatchJob::shared(Arc::new(f) as Arc<dyn Integrand + Send + Sync>).over(region_b);
+    let served = service.submit(job).wait();
+    assert_eq!(
+        served.result.estimate.to_bits(),
+        cold_b.result.estimate.to_bits(),
+        "region B was answered from region A's tree"
+    );
+    assert_eq!(
+        served.result.error_estimate.to_bits(),
+        cold_b.result.error_estimate.to_bits()
+    );
+    assert_eq!(
+        served.result.function_evaluations,
+        cold_b.result.function_evaluations
+    );
+    assert_eq!(service.metrics().warm_starts, 0);
     service.shutdown();
 }

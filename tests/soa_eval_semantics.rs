@@ -104,10 +104,11 @@ proptest! {
         depth in 1usize..4,
     ) {
         let device = common::device_with_workers(1);
-        let list = RegionList::initial_split(
+        let list = RegionList::initial_split_in(
             &pagani::quadrature::Region::unit_cube(dim),
             depth,
             device.memory(),
+            &pagani::prelude::ScratchArena::default(),
         )
         .unwrap();
         let arena = pagani::prelude::ScratchArena::new();
