@@ -21,7 +21,8 @@ use pagani_core::CancelToken;
 use pagani_device::{reduce, Device};
 use pagani_quadrature::two_level::refine_generation;
 use pagani_quadrature::{
-    EvalScratch, GenzMalik, Integrand, IntegrationResult, Region, Termination, Tolerances,
+    with_thread_scratch, EvalScratch, GenzMalik, Integrand, IntegrationResult, Region, Termination,
+    Tolerances,
 };
 
 /// Configuration of the two-phase baseline.
@@ -168,8 +169,9 @@ impl TwoPhase {
                     4,
                     &mut lanes,
                     |ctx, out| {
-                        let mut scratch = EvalScratch::new(dim);
-                        let est = rule.evaluate(f, &active[ctx.block_idx], &mut scratch);
+                        let est = with_thread_scratch(dim, |scratch| {
+                            rule.evaluate(f, &active[ctx.block_idx], scratch)
+                        });
                         out[0] = est.integral;
                         out[1] = est.error;
                         out[2] = est.split_axis as f64;

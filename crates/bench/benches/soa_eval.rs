@@ -10,6 +10,14 @@
 //! 17 points per region, thousands of regions) so the per-block bookkeeping —
 //! not the integrand — dominates, which is exactly the regime where the flat
 //! lane convention earns its keep.
+//!
+//! The `rule_*` records measure the Genz–Malik rule itself: one
+//! `evaluate_centered` call per iteration, cycling through a fixed region set,
+//! per paper family, through the concrete integrand type and through
+//! `&dyn Integrand`.  Each call evaluates the whole point table as one batch,
+//! so `mean_ns / num_points` is the cost per integrand evaluation; the name
+//! carries the dimension (`rule_f4_4d_dyn`) from which `num_points =
+//! 2^d + 2d² + 2d + 1` follows.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -20,6 +28,7 @@ use pagani_core::evaluate::evaluate_all_in;
 use pagani_core::region_list::RegionList;
 use pagani_core::ScratchArena;
 use pagani_device::{Device, DeviceConfig};
+use pagani_integrands::PaperIntegrand;
 use pagani_quadrature::{EvalScratch, FnIntegrand, GenzMalik, Integrand, Region, RuleEstimate};
 
 /// The pre-refactor per-block scratch: rule workspace plus centre/half-width
@@ -136,5 +145,58 @@ fn bench_soa_eval(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(soa_eval, bench_soa_eval);
+/// One rule evaluation per iteration, cycling through `regions`.
+fn bench_rule_on<F: Integrand + ?Sized>(
+    b: &mut criterion::Bencher,
+    rule: &GenzMalik,
+    f: &F,
+    regions: &[(Vec<f64>, Vec<f64>)],
+) {
+    let mut scratch = EvalScratch::new(rule.dim());
+    let mut next = 0;
+    b.iter(|| {
+        let (center, halfwidth) = &regions[next % regions.len()];
+        next += 1;
+        black_box(rule.evaluate_centered(f, center, halfwidth, &mut scratch))
+    });
+}
+
+fn bench_rule(c: &mut Criterion) {
+    let mut group = c.benchmark_group("soa_eval");
+    group.sample_size(30);
+    let families = [
+        PaperIntegrand::f1(4),
+        PaperIntegrand::f2(),
+        PaperIntegrand::f3(4),
+        PaperIntegrand::f4(4),
+        PaperIntegrand::f5(4),
+        PaperIntegrand::f6(),
+        PaperIntegrand::f7(4),
+        PaperIntegrand::f8(4),
+    ];
+    for f in &families {
+        let dim = f.dim();
+        let rule = GenzMalik::new(dim);
+        // The 2^dim children of the unit cube's first uniform split.
+        let regions: Vec<(Vec<f64>, Vec<f64>)> = Region::unit_cube(dim)
+            .uniform_split(2)
+            .iter()
+            .map(|r| (r.center(), r.halfwidths()))
+            .collect();
+        // "4D f4" -> "rule_f4_4d".
+        let label = f.label();
+        let (dims, family) = label.split_once(' ').expect("labels read '<d>D f<k>'");
+        let name = format!("rule_{family}_{}", dims.to_lowercase());
+        group.bench_function(format!("{name}_concrete"), |b| {
+            bench_rule_on(b, &rule, f, &regions)
+        });
+        let dynamic: &dyn Integrand = f;
+        group.bench_function(format!("{name}_dyn"), |b| {
+            bench_rule_on(b, &rule, dynamic, &regions)
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(soa_eval, bench_soa_eval, bench_rule);
 criterion_main!(soa_eval);

@@ -15,15 +15,13 @@
 //!
 //! Two layers of storage are recycled on the hot path: the pack, the lane buffer
 //! and the per-generation output arrays come from a [`ScratchArena`] (see
-//! [`evaluate_all_in`]), and the per-block rule scratch ([`EvalScratch`]) is
-//! cached per worker thread, mirroring how a CUDA block reuses its shared-memory
-//! scratch across kernel launches instead of re-allocating it per region.
-
-use std::cell::RefCell;
-use std::collections::HashMap;
+//! [`evaluate_all_in`]), and the per-block rule scratch is cached per worker
+//! thread by [`with_thread_scratch`], mirroring how a CUDA block reuses its
+//! shared-memory scratch across kernel launches instead of re-allocating it per
+//! region.
 
 use pagani_device::{Device, DeviceResult};
-use pagani_quadrature::{EvalScratch, GenzMalik, Integrand};
+use pagani_quadrature::{with_thread_scratch, GenzMalik, Integrand};
 
 use crate::arena::ScratchArena;
 use crate::region_list::RegionList;
@@ -141,23 +139,6 @@ impl Evaluation {
     }
 }
 
-thread_local! {
-    static BLOCK_SCRATCH: RefCell<HashMap<usize, EvalScratch>> = RefCell::new(HashMap::new());
-}
-
-/// Run `body` with this thread's cached rule scratch for `dim`, creating it on
-/// first use.  The scratch is taken out of the cache for the duration of the
-/// call (and re-inserted afterwards), so a re-entrant evaluation on the same
-/// thread degrades to a fresh allocation instead of a borrow panic.
-fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut EvalScratch) -> R) -> R {
-    let mut scratch = BLOCK_SCRATCH
-        .with(|cache| cache.borrow_mut().remove(&dim))
-        .unwrap_or_else(|| EvalScratch::new(dim));
-    let out = body(&mut scratch);
-    BLOCK_SCRATCH.with(|cache| cache.borrow_mut().insert(dim, scratch));
-    out
-}
-
 /// Evaluate all regions of `list` with `rule`, one block per region, drawing
 /// the pack, lane and output arrays from `arena`: pack the generation into a
 /// [`RegionPack`], issue **one** batched [`Device::launch_batch`] over it, and
@@ -181,7 +162,7 @@ pub fn evaluate_all_in<F: Integrand + ?Sized>(
     lanes.resize(count * EVAL_LANES, 0.0);
     let launched = device.launch_batch("evaluate", count, EVAL_LANES, &mut lanes, |ctx, out| {
         let i = ctx.block_idx;
-        with_block_scratch(dim, |scratch| {
+        with_thread_scratch(dim, |scratch| {
             let est =
                 rule.evaluate_centered(integrand, pack.center_of(i), pack.halfwidth_of(i), scratch);
             out[0] = est.integral;

@@ -6,7 +6,7 @@
 //! f4 in 5 and 8, f5 in 5 and 8, …); the fixed-dimension integrands (f2 and f6) reject
 //! other dimensions.
 
-use pagani_quadrature::Integrand;
+use pagani_quadrature::{eval_pointwise, Integrand};
 
 use crate::reference;
 
@@ -230,9 +230,109 @@ impl Integrand for PaperIntegrand {
         }
     }
 
+    /// Columnar evaluation: one `match` per batch, then per-axis loops over all
+    /// points.  Each point's sum runs in axis order and starts from the first
+    /// axis's term, which is bit-equal to `eval`'s `Iterator::sum` (and the
+    /// product to `Iterator::product`).  f6's cost is its `exp`, so it keeps
+    /// the pointwise path.
+    fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
+        if out.is_empty() {
+            return;
+        }
+        debug_assert_eq!(xs.len(), self.dim * out.len());
+        match self.family {
+            PaperFamily::F1Oscillatory => {
+                sum_over_axes(xs, out, |coeff, xi| coeff * xi);
+                out.iter_mut().for_each(|v| *v = v.cos());
+            }
+            PaperFamily::F2ProductPeak => {
+                let a2 = (1.0f64 / 50.0) * (1.0 / 50.0);
+                fold_over_axes(
+                    xs,
+                    out,
+                    |_, xi| 1.0 / (a2 + (xi - 0.5) * (xi - 0.5)),
+                    |acc, t| acc * t,
+                );
+            }
+            PaperFamily::F3CornerPeak => {
+                sum_over_axes(xs, out, |coeff, xi| coeff * xi);
+                corner_peak_power(out, self.dim);
+            }
+            PaperFamily::F4Gaussian => {
+                sum_over_axes(xs, out, |_, xi| (xi - 0.5) * (xi - 0.5));
+                out.iter_mut().for_each(|v| *v = (-625.0 * *v).exp());
+            }
+            PaperFamily::F5C0 => {
+                sum_over_axes(xs, out, |_, xi| (xi - 0.5).abs());
+                out.iter_mut().for_each(|v| *v = (-10.0 * *v).exp());
+            }
+            PaperFamily::F6Discontinuous => eval_pointwise(self, xs, out),
+            PaperFamily::F7BoxEven => {
+                sum_over_axes(xs, out, |_, xi| xi * xi);
+                out.iter_mut().for_each(|v| *v = v.powi(11));
+            }
+            PaperFamily::F8BoxHalfInteger => {
+                sum_over_axes(xs, out, |_, xi| xi * xi);
+                out.iter_mut().for_each(|v| *v = v.powf(7.5));
+            }
+        }
+    }
+
     fn name(&self) -> String {
         self.label()
     }
+}
+
+/// `out[p] = Σ_axis term(axis + 1, x_axis,p)` over the axis-major `xs`, in
+/// axis order, starting from the first axis's term.
+fn sum_over_axes(xs: &[f64], out: &mut [f64], term: impl Fn(f64, f64) -> f64) {
+    fold_over_axes(xs, out, term, |acc, t| acc + t);
+}
+
+/// `out[p] = combine(… combine(term(1, x_0,p), term(2, x_1,p)) …)` over the
+/// axis-major `xs`: one pass per axis, in axis order.
+fn fold_over_axes(
+    xs: &[f64],
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64,
+    combine: impl Fn(f64, f64) -> f64,
+) {
+    let n = out.len();
+    for (axis, column) in xs.chunks_exact(n).enumerate() {
+        let coeff = axis as f64 + 1.0;
+        if axis == 0 {
+            for (v, &xi) in out.iter_mut().zip(column) {
+                *v = term(coeff, xi);
+            }
+        } else {
+            for (v, &xi) in out.iter_mut().zip(column) {
+                *v = combine(*v, term(coeff, xi));
+            }
+        }
+    }
+}
+
+/// f3's `(1 + s)^{-(d+1)}` in place, with the exponent a literal per supported
+/// dimension so `powi` compiles to a fixed multiplication chain.  The chain is
+/// the same square-and-multiply sequence a runtime exponent runs, so the bits
+/// match `eval`.
+fn corner_peak_power(out: &mut [f64], dim: usize) {
+    macro_rules! by_dim {
+        ($($d:literal => $e:literal),* $(,)?) => {
+            match dim {
+                $($d => out.iter_mut().for_each(|v| *v = (1.0 + *v).powi($e)),)*
+                _ => {
+                    let e = -(dim as i32) - 1;
+                    out.iter_mut().for_each(|v| *v = (1.0 + *v).powi(e));
+                }
+            }
+        };
+    }
+    by_dim!(
+        1 => -2, 2 => -3, 3 => -4, 4 => -5, 5 => -6, 6 => -7, 7 => -8, 8 => -9, 9 => -10,
+        10 => -11, 11 => -12, 12 => -13, 13 => -14, 14 => -15, 15 => -16, 16 => -17,
+        17 => -18, 18 => -19, 19 => -20, 20 => -21,
+    );
 }
 
 /// The `(integrand, dimension)` pairs plotted in the paper's figures

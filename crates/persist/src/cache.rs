@@ -13,9 +13,16 @@
 //! rather than the wall clock (rule R4 — the clock must never influence
 //! result-producing control flow; eviction order is part of which snapshot a
 //! warm start sees).
+//!
+//! No operation scans the whole cache.  Entries are ordered by key, so the
+//! entries of one root (integrand id and corner bits) are one contiguous
+//! range, and a second ordered map indexes them by `last_used`: lookups,
+//! peeks and evictions cost one root's entries plus a logarithm of the
+//! entry count.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use crate::snapshot::Snapshot;
 
@@ -29,7 +36,9 @@ use crate::snapshot::Snapshot;
 /// The integrand id is the integrand's `name()`.  Closure-built integrands
 /// share a default name, so callers that mix distinct closures through one
 /// cache must give them unique names — the cache cannot see function bodies.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Keys order by integrand id, then corners, then tolerances, so the keys of
+/// one integrand and root region sort next to each other.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey {
     /// Integrand identifier (`Integrand::name()`).
     pub integrand_id: String,
@@ -128,11 +137,70 @@ fn entry_bytes(
 }
 
 struct CacheState {
-    map: HashMap<CacheKey, Entry>,
+    /// Entries by key; the key is shared with [`CacheState::recency`].
+    map: BTreeMap<Arc<CacheKey>, Entry>,
+    /// Every key by its entry's `last_used` stamp.  Stamps are unique (each
+    /// operation bumps the clock and stamps at most one entry), so the first
+    /// element is the least recently used entry.
+    recency: BTreeMap<u64, Arc<CacheKey>>,
     clock: u64,
     bytes_used: usize,
     byte_budget: usize,
     evictions: u64,
+}
+
+impl CacheState {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Restamp `key`'s entry (which must exist) with `clock`.
+    fn touch(&mut self, key: &CacheKey, clock: u64) {
+        let entry = self.map.get_mut(key).expect("touched entry exists");
+        let owned = self
+            .recency
+            .remove(&entry.last_used)
+            .expect("every entry has a recency stamp");
+        entry.last_used = clock;
+        self.recency.insert(clock, owned);
+    }
+
+    /// The key of the best snapshot for `(integrand, region)`: most banked
+    /// evaluations, ties broken towards the smallest `(rel, abs)` tolerance
+    /// bits so the choice never depends on insertion order.
+    fn best_snapshot_key(
+        &self,
+        integrand_id: &str,
+        lo: &[u64],
+        hi: &[u64],
+    ) -> Option<&Arc<CacheKey>> {
+        // The smallest key of this root; its entries follow it contiguously.
+        let first = CacheKey {
+            integrand_id: integrand_id.to_string(),
+            region_lo_bits: lo.to_vec(),
+            region_hi_bits: hi.to_vec(),
+            rel_bits: 0,
+            abs_bits: 0,
+        };
+        self.map
+            .range(first..)
+            .take_while(|(k, _)| {
+                k.integrand_id == integrand_id && k.region_lo_bits == lo && k.region_hi_bits == hi
+            })
+            .filter_map(|(k, e)| Some((k, e.snapshot.as_ref()?.function_evaluations)))
+            .max_by_key(|&(k, evals)| (evals, Reverse((k.rel_bits, k.abs_bits))))
+            .map(|(k, _)| k)
+    }
+
+    /// Remove the least recently used entry; returns its key.
+    fn evict_oldest(&mut self) -> Arc<CacheKey> {
+        let (_, victim) = self.recency.pop_first().expect("non-empty cache");
+        let evicted = self.map.remove(&victim).expect("victim exists");
+        self.bytes_used -= evicted.bytes;
+        self.evictions += 1;
+        victim
+    }
 }
 
 /// Shared LRU result cache with a byte budget.
@@ -162,7 +230,8 @@ impl ResultCache {
     pub fn new(byte_budget: usize) -> Self {
         ResultCache {
             state: Mutex::new(CacheState {
-                map: HashMap::new(),
+                map: BTreeMap::new(),
+                recency: BTreeMap::new(),
                 clock: 0,
                 bytes_used: 0,
                 byte_budget,
@@ -180,11 +249,9 @@ impl ResultCache {
     /// Look up a converged result by exact key, bumping its recency.
     pub fn lookup_result(&self, key: &CacheKey) -> Option<CachedResult> {
         let mut state = self.lock();
-        state.clock += 1;
-        let clock = state.clock;
-        let entry = state.map.get_mut(key)?;
-        let hit = entry.result.clone()?;
-        entry.last_used = clock;
+        let clock = state.tick();
+        let hit = state.map.get(key)?.result.clone()?;
+        state.touch(key, clock);
         Some(hit)
     }
 
@@ -192,7 +259,8 @@ impl ResultCache {
     /// bumping the owning entry's recency.
     ///
     /// "Best" is the snapshot with the most banked evaluations — the deepest
-    /// tree, which gives a warm start the largest head start.
+    /// tree, which gives a warm start the largest head start.  Ties go to the
+    /// entry with the smallest `(rel, abs)` tolerance bits.
     pub fn lookup_snapshot(
         &self,
         integrand_id: &str,
@@ -200,21 +268,11 @@ impl ResultCache {
         region_hi_bits: &[u64],
     ) -> Option<Snapshot> {
         let mut state = self.lock();
-        state.clock += 1;
-        let clock = state.clock;
-        let entry = state
-            .map
-            .iter_mut()
-            .filter(|(k, e)| {
-                e.snapshot.is_some()
-                    && k.integrand_id == integrand_id
-                    && k.region_lo_bits == region_lo_bits
-                    && k.region_hi_bits == region_hi_bits
-            })
-            .max_by_key(|(_, e)| e.snapshot.as_ref().map_or(0, |s| s.function_evaluations))?
-            .1;
-        entry.last_used = clock;
-        entry.snapshot.clone()
+        let clock = state.tick();
+        let key =
+            Arc::clone(state.best_snapshot_key(integrand_id, region_lo_bits, region_hi_bits)?);
+        state.touch(&key, clock);
+        state.map[&key].snapshot.clone()
     }
 
     /// Whether an exact converged result exists for `key`, without bumping
@@ -233,25 +291,15 @@ impl ResultCache {
         region_hi_bits: &[u64],
     ) -> Option<WarmStartInfo> {
         let state = self.lock();
-        state
-            .map
-            .iter()
-            .filter_map(|(k, e)| {
-                let snap = e.snapshot.as_ref()?;
-                (k.integrand_id == integrand_id
-                    && k.region_lo_bits == region_lo_bits
-                    && k.region_hi_bits == region_hi_bits)
-                    .then_some(snap)
-            })
-            .max_by_key(|s| s.function_evaluations)
-            .map(|s| WarmStartInfo {
-                rel_tol: s.rel_tol,
-                abs_tol: s.abs_tol,
-                finished_error: s.finished_error,
-                latest_estimate: s.latest_estimate,
-                function_evaluations: s.function_evaluations,
-                converged: s.converged,
-            })
+        let key = state.best_snapshot_key(integrand_id, region_lo_bits, region_hi_bits)?;
+        state.map[key].snapshot.as_ref().map(|s| WarmStartInfo {
+            rel_tol: s.rel_tol,
+            abs_tol: s.abs_tol,
+            finished_error: s.finished_error,
+            latest_estimate: s.latest_estimate,
+            function_evaluations: s.function_evaluations,
+            converged: s.converged,
+        })
     }
 
     /// Store a result and/or snapshot under `key`, merging with any existing
@@ -267,14 +315,19 @@ impl ResultCache {
             return;
         }
         let mut state = self.lock();
-        state.clock += 1;
-        let clock = state.clock;
-        let mut entry = state.map.remove(&key).unwrap_or(Entry {
-            result: None,
-            snapshot: None,
-            last_used: clock,
-            bytes: 0,
-        });
+        let clock = state.tick();
+        let mut entry = match state.map.remove(&key) {
+            Some(entry) => {
+                state.recency.remove(&entry.last_used);
+                entry
+            }
+            None => Entry {
+                result: None,
+                snapshot: None,
+                last_used: clock,
+                bytes: 0,
+            },
+        };
         state.bytes_used -= entry.bytes;
         if result.is_some() {
             entry.result = result;
@@ -285,18 +338,11 @@ impl ResultCache {
         entry.bytes = entry_bytes(&key, &entry.result, &entry.snapshot);
         entry.last_used = clock;
         state.bytes_used += entry.bytes;
-        state.map.insert(key.clone(), entry);
+        let key = Arc::new(key);
+        state.recency.insert(clock, Arc::clone(&key));
+        state.map.insert(Arc::clone(&key), entry);
         while state.bytes_used > state.byte_budget && !state.map.is_empty() {
-            let victim = state
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            let evicted = state.map.remove(&victim).expect("victim exists");
-            state.bytes_used -= evicted.bytes;
-            state.evictions += 1;
-            if victim == key {
+            if state.evict_oldest() == key {
                 // The fresh entry alone exceeds the budget; drop it outright
                 // rather than evicting the rest of the cache for nothing.
                 break;
@@ -403,6 +449,25 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_ties_go_to_the_smallest_tolerance_bits() {
+        let cache = ResultCache::new(1 << 20);
+        for rel in [1e-2, 1e-4, 1e-3] {
+            let mut snap = snapshot("f", 500, 4);
+            snap.rel_tol = rel;
+            cache.store(key("f", rel), None, Some(snap));
+        }
+        let k = key("f", 1e-6);
+        let info = cache
+            .peek_warm_start(&k.integrand_id, &k.region_lo_bits, &k.region_hi_bits)
+            .unwrap();
+        assert_eq!(info.rel_tol, 1e-4);
+        let best = cache
+            .lookup_snapshot(&k.integrand_id, &k.region_lo_bits, &k.region_hi_bits)
+            .unwrap();
+        assert_eq!(best.rel_tol, 1e-4);
+    }
+
+    #[test]
     fn store_merges_result_and_snapshot_parts() {
         let cache = ResultCache::new(1 << 20);
         cache.store(key("f", 1e-3), None, Some(snapshot("f", 50, 2)));
@@ -496,5 +561,204 @@ mod tests {
             gone.is_none(),
             "peeked entry should have been evicted first"
         );
+    }
+
+    /// The cache as it was before its indexes: a flat list that every
+    /// operation scans in full, with the same deterministic tie-break.
+    struct Model {
+        entries: Vec<ModelEntry>,
+        clock: u64,
+        bytes_used: usize,
+        budget: usize,
+        evictions: u64,
+    }
+
+    struct ModelEntry {
+        key: CacheKey,
+        result: Option<CachedResult>,
+        snapshot: Option<Snapshot>,
+        last_used: u64,
+        bytes: usize,
+    }
+
+    impl Model {
+        fn new(budget: usize) -> Self {
+            Model {
+                entries: Vec::new(),
+                clock: 0,
+                bytes_used: 0,
+                budget,
+                evictions: 0,
+            }
+        }
+
+        fn find(&self, key: &CacheKey) -> Option<usize> {
+            self.entries.iter().position(|e| &e.key == key)
+        }
+
+        fn best(&self, k: &CacheKey) -> Option<usize> {
+            (0..self.entries.len())
+                .filter(|&i| {
+                    let e = &self.entries[i];
+                    e.snapshot.is_some()
+                        && e.key.integrand_id == k.integrand_id
+                        && e.key.region_lo_bits == k.region_lo_bits
+                        && e.key.region_hi_bits == k.region_hi_bits
+                })
+                .max_by_key(|&i| {
+                    let e = &self.entries[i];
+                    let evals = e.snapshot.as_ref().map_or(0, |s| s.function_evaluations);
+                    (evals, Reverse((e.key.rel_bits, e.key.abs_bits)))
+                })
+        }
+
+        fn lookup_result(&mut self, key: &CacheKey) -> Option<CachedResult> {
+            self.clock += 1;
+            let i = self.find(key)?;
+            let hit = self.entries[i].result.clone()?;
+            self.entries[i].last_used = self.clock;
+            Some(hit)
+        }
+
+        fn lookup_snapshot(&mut self, k: &CacheKey) -> Option<Snapshot> {
+            self.clock += 1;
+            let i = self.best(k)?;
+            self.entries[i].last_used = self.clock;
+            self.entries[i].snapshot.clone()
+        }
+
+        fn peek_evals(&self, k: &CacheKey) -> Option<(u64, f64)> {
+            let snap = self.entries[self.best(k)?].snapshot.as_ref()?;
+            Some((snap.function_evaluations, snap.rel_tol))
+        }
+
+        fn store(
+            &mut self,
+            key: CacheKey,
+            result: Option<CachedResult>,
+            snapshot: Option<Snapshot>,
+        ) {
+            let snapshot = snapshot.filter(|s| key.owns(s));
+            if result.is_none() && snapshot.is_none() {
+                return;
+            }
+            self.clock += 1;
+            let mut entry = match self.find(&key) {
+                Some(i) => self.entries.remove(i),
+                None => ModelEntry {
+                    key: key.clone(),
+                    result: None,
+                    snapshot: None,
+                    last_used: self.clock,
+                    bytes: 0,
+                },
+            };
+            self.bytes_used -= entry.bytes;
+            if result.is_some() {
+                entry.result = result;
+            }
+            if snapshot.is_some() {
+                entry.snapshot = snapshot;
+            }
+            entry.bytes = entry_bytes(&key, &entry.result, &entry.snapshot);
+            entry.last_used = self.clock;
+            self.bytes_used += entry.bytes;
+            self.entries.push(entry);
+            while self.bytes_used > self.budget && !self.entries.is_empty() {
+                let oldest = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].last_used)
+                    .expect("non-empty");
+                let victim = self.entries.remove(oldest);
+                self.bytes_used -= victim.bytes;
+                self.evictions += 1;
+                if victim.key == key {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Key number `pick` of a small pool: two integrands, two roots, three
+    /// tolerances, so roots collide and snapshot groups hold several entries.
+    fn pooled_key(pick: u64) -> CacheKey {
+        let id = if pick % 2 == 0 { "f" } else { "g" };
+        let hi = if (pick / 2) % 2 == 0 {
+            [1.0, 1.0]
+        } else {
+            [1.0, 2.0]
+        };
+        let rel = [1e-2, 1e-3, 1e-4][((pick / 4) % 3) as usize];
+        CacheKey::new(id, &[0.0, 0.0], &hi, rel, 1e-20)
+    }
+
+    fn pooled_snapshot(key: &CacheKey, seed: u64) -> Snapshot {
+        // Few distinct evaluation counts, so ties are common.
+        let mut snap = snapshot(
+            &key.integrand_id,
+            1 + seed % 3,
+            1 + (seed / 3 % 40) as usize,
+        );
+        snap.region_hi = key
+            .region_hi_bits
+            .iter()
+            .map(|&b| f64::from_bits(b))
+            .collect();
+        snap.rel_tol = f64::from_bits(key.rel_bits);
+        if (seed / 120) % 8 == 0 {
+            // A foreign snapshot, which store must drop.
+            snap.integrand_id = "h".to_string();
+        }
+        snap
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random store / lookup / peek sequences under a tight byte budget
+        /// (so evictions happen) agree with the full-scan model on every
+        /// answer, and on size, bytes and eviction count after every step.
+        #[test]
+        fn prop_indexed_cache_matches_full_scan_model(
+            budget in 400usize..6000,
+            ops in proptest::collection::vec(0u64..u64::MAX, 1..200),
+        ) {
+            let cache = ResultCache::new(budget);
+            let mut model = Model::new(budget);
+            for op in ops {
+                let key = pooled_key(op >> 8);
+                match op % 6 {
+                    0 | 1 => {
+                        let result = (op >> 40) % 2 == 0;
+                        let snap = (op >> 41) % 4 != 0;
+                        let result = result.then(|| result_of(op >> 20));
+                        let snap = snap.then(|| pooled_snapshot(&key, op >> 42));
+                        cache.store(key.clone(), result.clone(), snap.clone());
+                        model.store(key, result, snap);
+                    }
+                    2 => proptest::prop_assert_eq!(cache.lookup_result(&key), model.lookup_result(&key)),
+                    3 => {
+                        let got = cache.lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits);
+                        proptest::prop_assert_eq!(got, model.lookup_snapshot(&key));
+                    }
+                    4 => {
+                        let got = cache
+                            .peek_warm_start(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
+                            .map(|info| (info.function_evaluations, info.rel_tol));
+                        proptest::prop_assert_eq!(got, model.peek_evals(&key));
+                    }
+                    _ => {
+                        let want = model.find(&key).is_some_and(|i| model.entries[i].result.is_some());
+                        proptest::prop_assert_eq!(cache.contains_result(&key), want);
+                    }
+                }
+                proptest::prop_assert_eq!(cache.len(), model.entries.len());
+                proptest::prop_assert_eq!(cache.bytes_used(), model.bytes_used);
+                proptest::prop_assert_eq!(cache.evictions(), model.evictions);
+            }
+        }
+    }
+
+    fn result_of(seed: u64) -> CachedResult {
+        result(seed % 1000)
     }
 }

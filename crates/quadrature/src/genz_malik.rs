@@ -14,6 +14,8 @@
 //! The weights follow Genz & Malik (1983); the same constants are used by the
 //! reference `cubature` and `gpuintegration` implementations.
 
+use std::cell::RefCell;
+
 use crate::integrand::Integrand;
 use crate::region::Region;
 
@@ -39,31 +41,75 @@ pub struct RuleEstimate {
     pub evaluations: usize,
 }
 
+/// `2^n + 2n² + 2n + 1`, the rule's point count in `dim` dimensions.
+fn points_for(dim: usize) -> usize {
+    1 + 4 * dim + 2 * dim * dim.saturating_sub(1) + (1usize << dim)
+}
+
 /// Reusable scratch space for rule evaluation.
 ///
 /// The hot loops of every integrator evaluate the rule millions of times; keeping the
-/// point buffer and the per-axis difference accumulators out of the allocator is the
+/// batch buffers and the per-axis difference accumulators out of the allocator is the
 /// same optimisation the CUDA kernels get from shared memory.
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
-    point: Vec<f64>,
     fourth_diff: Vec<f64>,
-    sum_lambda2: Vec<f64>,
-    sum_lambda4: Vec<f64>,
+    /// The region's points, axis-major: coordinate `axis` of point `p` sits at
+    /// `xs[axis * num_points + p]`.
+    xs: Vec<f64>,
+    /// One integrand value per point, in rule point order.
+    values: Vec<f64>,
 }
 
 impl EvalScratch {
     /// Scratch space for a `dim`-dimensional rule.
     #[must_use]
     pub fn new(dim: usize) -> Self {
+        let points = points_for(dim);
         Self {
-            point: vec![0.0; dim],
             fourth_diff: vec![0.0; dim],
-            sum_lambda2: vec![0.0; dim],
-            sum_lambda4: vec![0.0; dim],
+            xs: vec![0.0; dim * points],
+            values: vec![0.0; points],
         }
     }
 }
+
+thread_local! {
+    /// Per-thread rule scratch, one slot per dimension.
+    static THREAD_SCRATCH: RefCell<Vec<Option<EvalScratch>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `body` with this thread's cached rule scratch for `dim`, creating it on
+/// first use — the way a CUDA block reuses its shared-memory scratch across
+/// kernel launches instead of re-allocating it per region.
+///
+/// The scratch is taken out of its slot for the duration of the call and put
+/// back afterwards, so a re-entrant evaluation on the same thread gets a fresh
+/// allocation instead of a borrow panic.
+pub fn with_thread_scratch<R>(dim: usize, body: impl FnOnce(&mut EvalScratch) -> R) -> R {
+    let cached =
+        THREAD_SCRATCH.with(|slots| slots.borrow_mut().get_mut(dim).and_then(Option::take));
+    let mut scratch = cached.unwrap_or_else(|| EvalScratch::new(dim));
+    let out = body(&mut scratch);
+    THREAD_SCRATCH.with(|slots| {
+        let mut slots = slots.borrow_mut();
+        if slots.len() <= dim {
+            slots.resize_with(dim + 1, || None);
+        }
+        slots[dim] = Some(scratch);
+    });
+    out
+}
+
+/// Per-axis candidate coordinates of a rule point, indexed by the point table.
+/// The order matches the array built in [`GenzMalik::evaluate_centered`], whose
+/// entries 5 and 6 (`c + λ₅h`, `c + (−λ₅)h`) belong to the corner orbit and are
+/// picked by bit pattern instead.
+const AT_CENTER: u8 = 0;
+const AT_LAMBDA2_LO: u8 = 1;
+const AT_LAMBDA2_HI: u8 = 2;
+const AT_LAMBDA4_LO: u8 = 3;
+const AT_LAMBDA4_HI: u8 = 4;
 
 /// The Genz–Malik degree-7/5 embedded rule for a fixed dimension.
 #[derive(Debug, Clone)]
@@ -74,6 +120,13 @@ pub struct GenzMalik {
     /// Embedded degree-5 weights for the first four orbits.
     we: [f64; 4],
     num_points: usize,
+    /// Points outside the corner orbit: `2n² + 2n + 1`.
+    table_points: usize,
+    /// Point table, axis-major: `table[axis * table_points + p]` picks which
+    /// per-axis candidate coordinate point `p` takes on `axis`.  The corner
+    /// orbit is left out because its pick is the point's bit pattern, which
+    /// keeps the table at `O(n³)` bytes instead of `O(n·2^n)`.
+    table: Vec<u8>,
 }
 
 impl GenzMalik {
@@ -103,12 +156,41 @@ impl GenzMalik {
             (265.0 - 100.0 * n) / 1458.0,
             25.0 / 729.0,
         ];
-        let num_points = 1 + 4 * dim + 2 * dim * (dim - 1) + (1usize << dim);
+        let num_points = points_for(dim);
+        let table_points = num_points - (1usize << dim);
+        // Point order: the centre; per axis λ₂−, λ₂+, λ₄−, λ₄+; per axis pair
+        // i < j the signs (+,+), (+,−), (−,+), (−,−).  Every axis a point does
+        // not move stays at the centre.
+        let mut table = vec![AT_CENTER; dim * table_points];
+        let mut p = 1;
+        for axis in 0..dim {
+            for pick in [AT_LAMBDA2_LO, AT_LAMBDA2_HI, AT_LAMBDA4_LO, AT_LAMBDA4_HI] {
+                table[axis * table_points + p] = pick;
+                p += 1;
+            }
+        }
+        for i in 0..dim {
+            for j in (i + 1)..dim {
+                for (pick_i, pick_j) in [
+                    (AT_LAMBDA4_HI, AT_LAMBDA4_HI),
+                    (AT_LAMBDA4_HI, AT_LAMBDA4_LO),
+                    (AT_LAMBDA4_LO, AT_LAMBDA4_HI),
+                    (AT_LAMBDA4_LO, AT_LAMBDA4_LO),
+                ] {
+                    table[i * table_points + p] = pick_i;
+                    table[j * table_points + p] = pick_j;
+                    p += 1;
+                }
+            }
+        }
+        debug_assert_eq!(p, table_points);
         Self {
             dim,
             w,
             we,
             num_points,
+            table_points,
+            table,
         }
     }
 
@@ -126,6 +208,10 @@ impl GenzMalik {
 
     /// Evaluate the rule on the region described by `center` and `halfwidth`.
     ///
+    /// All points go to the integrand in one [`Integrand::eval_batch`] call,
+    /// in the order the point table lists them, with the corner orbit last in
+    /// bit-pattern order (a clear bit is the `+λ₅` side).
+    ///
     /// # Panics
     /// Panics if the slice lengths do not match the rule dimension.
     pub fn evaluate_centered<F: Integrand + ?Sized>(
@@ -137,78 +223,74 @@ impl GenzMalik {
     ) -> RuleEstimate {
         assert_eq!(center.len(), self.dim, "center has wrong dimension");
         assert_eq!(halfwidth.len(), self.dim, "halfwidth has wrong dimension");
-        assert_eq!(scratch.point.len(), self.dim, "scratch has wrong dimension");
+        assert_eq!(
+            scratch.fourth_diff.len(),
+            self.dim,
+            "scratch has wrong dimension"
+        );
 
         let dim = self.dim;
+        let n = self.num_points;
+        let m = self.table_points;
         let volume: f64 = halfwidth.iter().map(|&h| 2.0 * h).product();
 
-        let point = &mut scratch.point;
-        point.copy_from_slice(center);
+        for (axis, (row, picks)) in scratch
+            .xs
+            .chunks_exact_mut(n)
+            .zip(self.table.chunks_exact(m))
+            .enumerate()
+        {
+            let (c, h) = (center[axis], halfwidth[axis]);
+            // The pair orbit's `c + (−λ₄)h` is bit-equal to `c − λ₄h`: negation
+            // is exact and `a + (−b)` is `a − b` in IEEE arithmetic.  The eighth
+            // entry pads the array so a pick masked to 3 bits needs no bounds
+            // check.
+            let candidates = [
+                c,
+                c - LAMBDA2 * h,
+                c + LAMBDA2 * h,
+                c - LAMBDA4 * h,
+                c + LAMBDA4 * h,
+                c + LAMBDA5 * h,
+                c + (-LAMBDA5) * h,
+                c,
+            ];
+            let (tabled, corners) = row.split_at_mut(m);
+            for (x, &pick) in tabled.iter_mut().zip(picks) {
+                *x = candidates[usize::from(pick & 7)];
+            }
+            // Corner orbit: a clear bit is `c + λ₅h`, a set bit `c + (−λ₅)h`.
+            let (plus, minus) = (candidates[5], candidates[6]);
+            for (bits, x) in corners.iter_mut().enumerate() {
+                *x = if (bits >> axis) & 1 == 0 { plus } else { minus };
+            }
+        }
+        let values = &mut scratch.values;
+        f.eval_batch(&scratch.xs, values);
 
         // Orbit 1: the centre.
-        let f_center = f.eval(point);
+        let f_center = values[0];
         let sum1 = f_center;
 
         // Orbits 2 and 3: single-axis offsets at λ₂ and λ₄.
         let mut sum2 = 0.0;
         let mut sum3 = 0.0;
-        for axis in 0..dim {
-            let h = halfwidth[axis];
-            let c = center[axis];
-
-            point[axis] = c - LAMBDA2 * h;
-            let f2_lo = f.eval(point);
-            point[axis] = c + LAMBDA2 * h;
-            let f2_hi = f.eval(point);
-
-            point[axis] = c - LAMBDA4 * h;
-            let f4_lo = f.eval(point);
-            point[axis] = c + LAMBDA4 * h;
-            let f4_hi = f.eval(point);
-
-            point[axis] = c;
-
-            let pair2 = f2_lo + f2_hi;
-            let pair4 = f4_lo + f4_hi;
+        for (axis, orbit) in values[1..1 + 4 * dim].chunks_exact(4).enumerate() {
+            let pair2 = orbit[0] + orbit[1];
+            let pair4 = orbit[2] + orbit[3];
             sum2 += pair2;
             sum3 += pair4;
-            scratch.sum_lambda2[axis] = pair2;
-            scratch.sum_lambda4[axis] = pair4;
             // Scaled fourth divided difference along this axis (Genz–Malik split
             // criterion, also used by cubature and DCUHRE).
             scratch.fourth_diff[axis] =
                 (pair2 - 2.0 * f_center - RATIO * (pair4 - 2.0 * f_center)).abs();
         }
 
-        // Orbit 4: two-axis offsets (±λ₄, ±λ₄) for every axis pair.
-        let mut sum4 = 0.0;
-        for i in 0..dim {
-            for j in (i + 1)..dim {
-                let ci = center[i];
-                let cj = center[j];
-                let hi = halfwidth[i];
-                let hj = halfwidth[j];
-                for &(si, sj) in &[(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
-                    point[i] = ci + si * LAMBDA4 * hi;
-                    point[j] = cj + sj * LAMBDA4 * hj;
-                    sum4 += f.eval(point);
-                }
-                point[i] = ci;
-                point[j] = cj;
-            }
-        }
-
-        // Orbit 5: the 2^n corner points at ±λ₅ in every axis.
-        let mut sum5 = 0.0;
-        let corners = 1usize << dim;
-        for bits in 0..corners {
-            for axis in 0..dim {
-                let sign = if bits & (1 << axis) == 0 { 1.0 } else { -1.0 };
-                point[axis] = center[axis] + sign * LAMBDA5 * halfwidth[axis];
-            }
-            sum5 += f.eval(point);
-        }
-        point.copy_from_slice(center);
+        // Orbit 4: two-axis offsets (±λ₄, ±λ₄) for every axis pair; orbit 5:
+        // the 2^n corner points at ±λ₅ in every axis.  Both sums start at +0.0
+        // and run in point order.
+        let sum4 = values[1 + 4 * dim..m].iter().fold(0.0, |s, &v| s + v);
+        let sum5 = values[m..].iter().fold(0.0, |s, &v| s + v);
 
         let integral = volume
             * (self.w[0] * sum1

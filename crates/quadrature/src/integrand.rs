@@ -12,6 +12,18 @@ pub trait Integrand: Sync {
     /// Evaluate the integrand at `x` (`x.len() == self.dim()`).
     fn eval(&self, x: &[f64]) -> f64;
 
+    /// Evaluate the integrand at `out.len()` points at once.
+    ///
+    /// `xs` is axis-major: coordinate `axis` of point `p` is `xs[axis * n + p]`
+    /// with `n = out.len()`, and the value of point `p` goes to `out[p]`.  An
+    /// override must be pointwise bit-equal to [`eval`](Self::eval): the rule
+    /// reductions, and with them every pinned result, depend on it.  The
+    /// default gathers each point into a stack buffer and calls `eval`, in
+    /// point order ([`eval_pointwise`]).
+    fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
+        eval_pointwise(self, xs, out);
+    }
+
     /// Human-readable name used in benchmark and experiment output.
     fn name(&self) -> String {
         format!("integrand-{}d", self.dim())
@@ -22,6 +34,32 @@ pub trait Integrand: Sync {
     /// domain of every integrand in the paper's test suite.
     fn default_bounds(&self) -> (Vec<f64>, Vec<f64>) {
         (vec![0.0; self.dim()], vec![1.0; self.dim()])
+    }
+}
+
+/// The default [`Integrand::eval_batch`]: gather each point of the axis-major
+/// `xs` into a stack buffer and call [`Integrand::eval`] on it, in point order.
+/// Overrides that batch only some of their cases call this for the rest.
+pub fn eval_pointwise<F: Integrand + ?Sized>(f: &F, xs: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    let dim = xs.len() / n;
+    debug_assert_eq!(xs.len(), dim * n, "xs must hold dim * out.len() values");
+    let mut stack = [0.0f64; 32];
+    let mut heap = Vec::new();
+    let point = if dim <= stack.len() {
+        &mut stack[..dim]
+    } else {
+        heap.resize(dim, 0.0);
+        &mut heap[..]
+    };
+    for (p, value) in out.iter_mut().enumerate() {
+        for (axis, x) in point.iter_mut().enumerate() {
+            *x = xs[axis * n + p];
+        }
+        *value = f.eval(point);
     }
 }
 
@@ -77,6 +115,9 @@ impl<T: Integrand + ?Sized> Integrand for &T {
     fn eval(&self, x: &[f64]) -> f64 {
         (**self).eval(x)
     }
+    fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
+        (**self).eval_batch(xs, out);
+    }
     fn name(&self) -> String {
         (**self).name()
     }
@@ -111,6 +152,22 @@ mod tests {
         let r: &dyn Integrand = &f;
         assert_eq!((&r).dim(), 1);
         assert_eq!((&r).eval(&[0.5]), 0.5);
+    }
+
+    #[test]
+    fn default_batch_gathers_axis_major_points() {
+        let f = FnIntegrand::new(2, |x: &[f64]| x[0] + 10.0 * x[1]);
+        // Three points (1, 4), (2, 5), (3, 6), stored axis by axis.
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let mut out = [0.0; 3];
+        f.eval_batch(&xs, &mut out);
+        assert_eq!(out, [41.0, 52.0, 63.0]);
+        // The `&T` impl forwards the batch.
+        let r: &dyn Integrand = &f;
+        let mut forwarded = [0.0; 3];
+        (&r).eval_batch(&xs, &mut forwarded);
+        assert_eq!(forwarded, out);
+        f.eval_batch(&[], &mut []);
     }
 
     #[test]

@@ -64,6 +64,76 @@ fn batched_evaluation_reproduces_the_scalar_golden_bits_for_any_worker_count() {
     }
 }
 
+/// Golden results for the families whose `eval_batch` is columnar (f5, f7,
+/// f8), captured from the point-by-point rule before batched evaluation, at
+/// a tolerance tight enough to take several generations.
+const GOLDEN_BATCHED: &[(&str, u64, u64, usize, u64, u64)] = &[
+    (
+        "3D f5",
+        0x3f80_0e17_496d_362e,
+        0x3e2d_ae44_da0f_4bd1,
+        7,
+        7896,
+        260568,
+    ),
+    (
+        "2D f7",
+        0x402f_6f68_81d7_8f10,
+        0x3ed6_6bae_0598_9c23,
+        2,
+        756,
+        12852,
+    ),
+    (
+        "3D f7",
+        0x407a_570e_d130_c877,
+        0x3f3a_6428_362b_d9be,
+        6,
+        2966,
+        97878,
+    ),
+    (
+        "3D f8",
+        0x403b_882e_90f7_8e65,
+        0x3ef1_a3c6_a692_18fe,
+        4,
+        1722,
+        56826,
+    ),
+];
+
+#[test]
+fn batched_families_reproduce_their_point_by_point_golden_bits() {
+    let integrands = [
+        PaperIntegrand::f5(3),
+        PaperIntegrand::f7(2),
+        PaperIntegrand::f7(3),
+        PaperIntegrand::f8(3),
+    ];
+    for workers in common::worker_matrix(&[1, 2, 8]) {
+        let device = common::device_with_workers(workers);
+        let pagani = Pagani::new(device, PaganiConfig::test_small(Tolerances::rel(1e-6)));
+        for (f, &(label, est, err, iters, regions, evals)) in integrands.iter().zip(GOLDEN_BATCHED)
+        {
+            assert_eq!(f.label(), label);
+            let out = pagani.integrate(f);
+            assert_eq!(
+                out.result.estimate.to_bits(),
+                est,
+                "{label} estimate drifted with {workers} workers"
+            );
+            assert_eq!(
+                out.result.error_estimate.to_bits(),
+                err,
+                "{label} error estimate drifted with {workers} workers"
+            );
+            assert_eq!(out.result.iterations, iters, "{label} iteration count");
+            assert_eq!(out.result.regions_generated, regions, "{label} regions");
+            assert_eq!(out.result.function_evaluations, evals, "{label} evals");
+        }
+    }
+}
+
 #[test]
 fn counting_backend_sees_exactly_one_batched_launch_per_generation() {
     let config = pagani::device::DeviceConfig::test_small().with_memory_capacity(32 << 20);
