@@ -14,8 +14,8 @@
 //! The `rule_*` records measure the Genz–Malik rule itself: one
 //! `evaluate_centered` call per iteration, cycling through a fixed region set,
 //! per paper family, through the concrete integrand type and through
-//! `&dyn Integrand`.  Each call evaluates the whole point table as one batch,
-//! so `mean_ns / num_points` is the cost per integrand evaluation; the name
+//! `&dyn Integrand`.  Each call evaluates all of the region's points as one
+//! batch, so `mean_ns / num_points` is the cost per integrand evaluation; the name
 //! carries the dimension (`rule_f4_4d_dyn`) from which `num_points =
 //! 2^d + 2d² + 2d + 1` follows.
 

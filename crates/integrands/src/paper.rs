@@ -6,7 +6,7 @@
 //! f4 in 5 and 8, f5 in 5 and 8, …); the fixed-dimension integrands (f2 and f6) reject
 //! other dimensions.
 
-use pagani_quadrature::{eval_pointwise, Integrand};
+use pagani_quadrature::Integrand;
 
 use crate::reference;
 
@@ -233,8 +233,7 @@ impl Integrand for PaperIntegrand {
     /// Columnar evaluation: one `match` per batch, then per-axis loops over all
     /// points.  Each point's sum runs in axis order and starts from the first
     /// axis's term, which is bit-equal to `eval`'s `Iterator::sum` (and the
-    /// product to `Iterator::product`).  f6's cost is its `exp`, so it keeps
-    /// the pointwise path.
+    /// product to `Iterator::product`).
     fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
         if out.is_empty() {
             return;
@@ -266,7 +265,25 @@ impl Integrand for PaperIntegrand {
                 sum_over_axes(xs, out, |_, xi| (xi - 0.5).abs());
                 out.iter_mut().for_each(|v| *v = (-10.0 * *v).exp());
             }
-            PaperFamily::F6Discontinuous => eval_pointwise(self, xs, out),
+            PaperFamily::F6Discontinuous => {
+                // A coordinate at or past its cut marks the point NaN.  No
+                // point inside the cut on every axis can sum to NaN (each
+                // term is finite or −∞), so the mark survives the sum.
+                fold_over_axes(
+                    xs,
+                    out,
+                    |coeff, xi| {
+                        if xi < (coeff + 3.0) / 10.0 {
+                            (coeff + 4.0) * xi
+                        } else {
+                            f64::NAN
+                        }
+                    },
+                    |acc, t| acc + t,
+                );
+                out.iter_mut()
+                    .for_each(|v| *v = if v.is_nan() { 0.0 } else { v.exp() });
+            }
             PaperFamily::F7BoxEven => {
                 sum_over_axes(xs, out, |_, xi| xi * xi);
                 out.iter_mut().for_each(|v| *v = v.powi(11));
@@ -312,27 +329,28 @@ fn fold_over_axes(
     }
 }
 
-/// f3's `(1 + s)^{-(d+1)}` in place, with the exponent a literal per supported
-/// dimension so `powi` compiles to a fixed multiplication chain.  The chain is
-/// the same square-and-multiply sequence a runtime exponent runs, so the bits
-/// match `eval`.
+/// f3's `(1 + s)^{-(d+1)}` in place.  For the dimensions the paper suite
+/// uses the exponent is a constant, so `powi` compiles to an inline
+/// multiplication chain instead of a `__powidf2` call per point (about half
+/// the batched f3 cost at 4-D).  The chain is the same square-and-multiply
+/// sequence the runtime exponent runs, so the bits match `eval`.
 fn corner_peak_power(out: &mut [f64], dim: usize) {
-    macro_rules! by_dim {
-        ($($d:literal => $e:literal),* $(,)?) => {
-            match dim {
-                $($d => out.iter_mut().for_each(|v| *v = (1.0 + *v).powi($e)),)*
-                _ => {
-                    let e = -(dim as i32) - 1;
-                    out.iter_mut().for_each(|v| *v = (1.0 + *v).powi(e));
-                }
-            }
-        };
+    fn power<const E: i32>(out: &mut [f64]) {
+        out.iter_mut().for_each(|v| *v = (1.0 + *v).powi(E));
     }
-    by_dim!(
-        1 => -2, 2 => -3, 3 => -4, 4 => -5, 5 => -6, 6 => -7, 7 => -8, 8 => -9, 9 => -10,
-        10 => -11, 11 => -12, 12 => -13, 13 => -14, 14 => -15, 15 => -16, 16 => -17,
-        17 => -18, 18 => -19, 19 => -20, 20 => -21,
-    );
+    match dim {
+        2 => power::<-3>(out),
+        3 => power::<-4>(out),
+        4 => power::<-5>(out),
+        5 => power::<-6>(out),
+        6 => power::<-7>(out),
+        7 => power::<-8>(out),
+        8 => power::<-9>(out),
+        _ => {
+            let e = -(dim as i32) - 1;
+            out.iter_mut().for_each(|v| *v = (1.0 + *v).powi(e));
+        }
+    }
 }
 
 /// The `(integrand, dimension)` pairs plotted in the paper's figures

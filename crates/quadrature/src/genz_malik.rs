@@ -41,9 +41,21 @@ pub struct RuleEstimate {
     pub evaluations: usize,
 }
 
-/// `2^n + 2n² + 2n + 1`, the rule's point count in `dim` dimensions.
-fn points_for(dim: usize) -> usize {
-    1 + 4 * dim + 2 * dim * dim.saturating_sub(1) + (1usize << dim)
+/// Corner-orbit points per integrand batch, as a power of two.  Up to ten
+/// dimensions the whole corner orbit rides in the region's one batch; above
+/// that it goes to the integrand in chunks of `2^CORNER_CHUNK_BITS` points, so
+/// the scratch holds `O(n·(n² + 1024))` values instead of `O(n·2^n)`.
+const CORNER_CHUNK_BITS: usize = 10;
+
+/// `2n² + 2n + 1`, the rule's points outside the corner orbit.
+fn non_corner_points(dim: usize) -> usize {
+    1 + 4 * dim + 2 * dim * dim.saturating_sub(1)
+}
+
+/// Points in a region's first batch: every point outside the corner orbit,
+/// then the first chunk of corners.
+fn first_batch_points(dim: usize) -> usize {
+    non_corner_points(dim) + (1usize << dim.min(CORNER_CHUNK_BITS))
 }
 
 /// Reusable scratch space for rule evaluation.
@@ -54,10 +66,10 @@ fn points_for(dim: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
     fourth_diff: Vec<f64>,
-    /// The region's points, axis-major: coordinate `axis` of point `p` sits at
-    /// `xs[axis * num_points + p]`.
+    /// The points of one batch, axis-major: coordinate `axis` of point `p`
+    /// sits at `xs[axis * batch + p]`, where `batch` is the batch's length.
     xs: Vec<f64>,
-    /// One integrand value per point, in rule point order.
+    /// One integrand value per point of the batch, in rule point order.
     values: Vec<f64>,
 }
 
@@ -65,7 +77,7 @@ impl EvalScratch {
     /// Scratch space for a `dim`-dimensional rule.
     #[must_use]
     pub fn new(dim: usize) -> Self {
-        let points = points_for(dim);
+        let points = first_batch_points(dim);
         Self {
             fourth_diff: vec![0.0; dim],
             xs: vec![0.0; dim * points],
@@ -101,15 +113,29 @@ pub fn with_thread_scratch<R>(dim: usize, body: impl FnOnce(&mut EvalScratch) ->
     out
 }
 
-/// Per-axis candidate coordinates of a rule point, indexed by the point table.
-/// The order matches the array built in [`GenzMalik::evaluate_centered`], whose
-/// entries 5 and 6 (`c + λ₅h`, `c + (−λ₅)h`) belong to the corner orbit and are
-/// picked by bit pattern instead.
-const AT_CENTER: u8 = 0;
-const AT_LAMBDA2_LO: u8 = 1;
-const AT_LAMBDA2_HI: u8 = 2;
-const AT_LAMBDA4_LO: u8 = 3;
-const AT_LAMBDA4_HI: u8 = 4;
+/// Write the corner points with bit patterns `first..` into columns
+/// `offset..` of the axis-major rows of `xs` (each `stride` long).  A clear
+/// bit is the `c + λ₅h` side, a set bit `c − λ₅h`.
+fn fill_corners(
+    xs: &mut [f64],
+    stride: usize,
+    offset: usize,
+    first: usize,
+    center: &[f64],
+    halfwidth: &[f64],
+) {
+    for (axis, row) in xs.chunks_exact_mut(stride).enumerate() {
+        let (c, h) = (center[axis], halfwidth[axis]);
+        let (plus, minus) = (c + LAMBDA5 * h, c - LAMBDA5 * h);
+        for (k, x) in row[offset..].iter_mut().enumerate() {
+            *x = if ((first + k) >> axis) & 1 == 0 {
+                plus
+            } else {
+                minus
+            };
+        }
+    }
+}
 
 /// The Genz–Malik degree-7/5 embedded rule for a fixed dimension.
 #[derive(Debug, Clone)]
@@ -120,13 +146,6 @@ pub struct GenzMalik {
     /// Embedded degree-5 weights for the first four orbits.
     we: [f64; 4],
     num_points: usize,
-    /// Points outside the corner orbit: `2n² + 2n + 1`.
-    table_points: usize,
-    /// Point table, axis-major: `table[axis * table_points + p]` picks which
-    /// per-axis candidate coordinate point `p` takes on `axis`.  The corner
-    /// orbit is left out because its pick is the point's bit pattern, which
-    /// keeps the table at `O(n³)` bytes instead of `O(n·2^n)`.
-    table: Vec<u8>,
 }
 
 impl GenzMalik {
@@ -156,41 +175,11 @@ impl GenzMalik {
             (265.0 - 100.0 * n) / 1458.0,
             25.0 / 729.0,
         ];
-        let num_points = points_for(dim);
-        let table_points = num_points - (1usize << dim);
-        // Point order: the centre; per axis λ₂−, λ₂+, λ₄−, λ₄+; per axis pair
-        // i < j the signs (+,+), (+,−), (−,+), (−,−).  Every axis a point does
-        // not move stays at the centre.
-        let mut table = vec![AT_CENTER; dim * table_points];
-        let mut p = 1;
-        for axis in 0..dim {
-            for pick in [AT_LAMBDA2_LO, AT_LAMBDA2_HI, AT_LAMBDA4_LO, AT_LAMBDA4_HI] {
-                table[axis * table_points + p] = pick;
-                p += 1;
-            }
-        }
-        for i in 0..dim {
-            for j in (i + 1)..dim {
-                for (pick_i, pick_j) in [
-                    (AT_LAMBDA4_HI, AT_LAMBDA4_HI),
-                    (AT_LAMBDA4_HI, AT_LAMBDA4_LO),
-                    (AT_LAMBDA4_LO, AT_LAMBDA4_HI),
-                    (AT_LAMBDA4_LO, AT_LAMBDA4_LO),
-                ] {
-                    table[i * table_points + p] = pick_i;
-                    table[j * table_points + p] = pick_j;
-                    p += 1;
-                }
-            }
-        }
-        debug_assert_eq!(p, table_points);
         Self {
             dim,
             w,
             we,
-            num_points,
-            table_points,
-            table,
+            num_points: non_corner_points(dim) + (1usize << dim),
         }
     }
 
@@ -208,9 +197,12 @@ impl GenzMalik {
 
     /// Evaluate the rule on the region described by `center` and `halfwidth`.
     ///
-    /// All points go to the integrand in one [`Integrand::eval_batch`] call,
-    /// in the order the point table lists them, with the corner orbit last in
-    /// bit-pattern order (a clear bit is the `+λ₅` side).
+    /// The points go to the integrand through [`Integrand::eval_batch`] in
+    /// rule order: the centre; per axis λ₂−, λ₂+, λ₄−, λ₄+; per axis pair
+    /// i < j the signs (+,+), (+,−), (−,+), (−,−); then the corners in
+    /// bit-pattern order (a clear bit is the `+λ₅` side).  Up to ten
+    /// dimensions that is one call per region; above, the corner orbit
+    /// continues in further calls of 1024 points each.
     ///
     /// # Panics
     /// Panics if the slice lengths do not match the rule dimension.
@@ -230,43 +222,41 @@ impl GenzMalik {
         );
 
         let dim = self.dim;
-        let n = self.num_points;
-        let m = self.table_points;
+        let m = non_corner_points(dim);
+        let n = first_batch_points(dim);
+        let chunk = n - m;
         let volume: f64 = halfwidth.iter().map(|&h| 2.0 * h).product();
 
-        for (axis, (row, picks)) in scratch
-            .xs
-            .chunks_exact_mut(n)
-            .zip(self.table.chunks_exact(m))
-            .enumerate()
-        {
+        // First batch.  Every axis a point does not move stays at the centre;
+        // the single-axis and pair orbits then patch their own entries.
+        let xs = &mut scratch.xs[..dim * n];
+        for (axis, row) in xs.chunks_exact_mut(n).enumerate() {
             let (c, h) = (center[axis], halfwidth[axis]);
-            // The pair orbit's `c + (−λ₄)h` is bit-equal to `c − λ₄h`: negation
-            // is exact and `a + (−b)` is `a − b` in IEEE arithmetic.  The eighth
-            // entry pads the array so a pick masked to 3 bits needs no bounds
-            // check.
-            let candidates = [
-                c,
+            row[..m].fill(c);
+            let p = 1 + 4 * axis;
+            row[p..p + 4].copy_from_slice(&[
                 c - LAMBDA2 * h,
                 c + LAMBDA2 * h,
                 c - LAMBDA4 * h,
                 c + LAMBDA4 * h,
-                c + LAMBDA5 * h,
-                c + (-LAMBDA5) * h,
-                c,
-            ];
-            let (tabled, corners) = row.split_at_mut(m);
-            for (x, &pick) in tabled.iter_mut().zip(picks) {
-                *x = candidates[usize::from(pick & 7)];
-            }
-            // Corner orbit: a clear bit is `c + λ₅h`, a set bit `c + (−λ₅)h`.
-            let (plus, minus) = (candidates[5], candidates[6]);
-            for (bits, x) in corners.iter_mut().enumerate() {
-                *x = if (bits >> axis) & 1 == 0 { plus } else { minus };
+            ]);
+        }
+        let mut p = 1 + 4 * dim;
+        for i in 0..dim {
+            let (ci, hi) = (center[i], halfwidth[i]);
+            let (lo_i, hi_i) = (ci - LAMBDA4 * hi, ci + LAMBDA4 * hi);
+            for j in (i + 1)..dim {
+                let (cj, hj) = (center[j], halfwidth[j]);
+                let (lo_j, hi_j) = (cj - LAMBDA4 * hj, cj + LAMBDA4 * hj);
+                xs[i * n + p..i * n + p + 4].copy_from_slice(&[hi_i, hi_i, lo_i, lo_i]);
+                xs[j * n + p..j * n + p + 4].copy_from_slice(&[hi_j, lo_j, hi_j, lo_j]);
+                p += 4;
             }
         }
-        let values = &mut scratch.values;
-        f.eval_batch(&scratch.xs, values);
+        debug_assert_eq!(p, m);
+        fill_corners(xs, n, m, 0, center, halfwidth);
+        let values = &mut scratch.values[..n];
+        f.eval_batch(xs, values);
 
         // Orbit 1: the centre.
         let f_center = values[0];
@@ -290,7 +280,16 @@ impl GenzMalik {
         // the 2^n corner points at ±λ₅ in every axis.  Both sums start at +0.0
         // and run in point order.
         let sum4 = values[1 + 4 * dim..m].iter().fold(0.0, |s, &v| s + v);
-        let sum5 = values[m..].iter().fold(0.0, |s, &v| s + v);
+        let mut sum5 = values[m..].iter().fold(0.0, |s, &v| s + v);
+        // Above ten dimensions the rest of the corner orbit follows in
+        // chunks, folded on in point order.
+        for first in (chunk..1usize << dim).step_by(chunk) {
+            let xs = &mut scratch.xs[..dim * chunk];
+            fill_corners(xs, chunk, 0, first, center, halfwidth);
+            let values = &mut scratch.values[..chunk];
+            f.eval_batch(xs, values);
+            sum5 = values.iter().fold(sum5, |s, &v| s + v);
+        }
 
         let integral = volume
             * (self.w[0] * sum1
@@ -485,6 +484,37 @@ mod tests {
         let est = rule.evaluate(&f, &Region::unit_cube(dim), &mut scratch);
         assert_eq!(count.load(Ordering::Relaxed), est.evaluations);
         assert_eq!(est.evaluations, rule.num_points());
+    }
+
+    #[test]
+    fn scratch_stays_polynomial_in_the_dimension() {
+        // Without chunking the corner orbit, 30 dimensions would need
+        // 30 · 2³⁰ coordinates (about 257 GB).
+        let scratch = EvalScratch::new(30);
+        assert_eq!(scratch.values.len(), 1861 + 1024);
+        assert_eq!(scratch.xs.len(), 30 * (1861 + 1024));
+        // Up to ten dimensions the batch is the whole region.
+        let rule = GenzMalik::new(10);
+        assert_eq!(EvalScratch::new(10).values.len(), rule.num_points());
+    }
+
+    #[test]
+    fn twenty_dimensional_rule_runs_in_chunks() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dim = 20;
+        let count = AtomicUsize::new(0);
+        let rule = GenzMalik::new(dim);
+        let mut scratch = EvalScratch::new(dim);
+        let f = FnIntegrand::new(dim, |_: &[f64]| {
+            count.fetch_add(1, Ordering::Relaxed);
+            2.0
+        });
+        let region = Region::new(vec![0.0; dim], vec![0.5; dim]);
+        let est = rule.evaluate(&f, &region, &mut scratch);
+        let volume = 0.5f64.powi(20);
+        assert!((est.integral - 2.0 * volume).abs() < 1e-12 * volume);
+        assert_eq!(count.load(Ordering::Relaxed), rule.num_points());
+        assert_eq!(est.evaluations, (1 << 20) + 2 * 400 + 40 + 1);
     }
 
     proptest! {

@@ -19,9 +19,28 @@ pub trait Integrand: Sync {
     /// override must be pointwise bit-equal to [`eval`](Self::eval): the rule
     /// reductions, and with them every pinned result, depend on it.  The
     /// default gathers each point into a stack buffer and calls `eval`, in
-    /// point order ([`eval_pointwise`]).
+    /// point order.
     fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
-        eval_pointwise(self, xs, out);
+        let n = out.len();
+        if n == 0 {
+            return;
+        }
+        let dim = xs.len() / n;
+        debug_assert_eq!(xs.len(), dim * n, "xs must hold dim * out.len() values");
+        let mut stack = [0.0f64; 32];
+        let mut heap = Vec::new();
+        let point = if dim <= stack.len() {
+            &mut stack[..dim]
+        } else {
+            heap.resize(dim, 0.0);
+            &mut heap[..]
+        };
+        for (p, value) in out.iter_mut().enumerate() {
+            for (axis, x) in point.iter_mut().enumerate() {
+                *x = xs[axis * n + p];
+            }
+            *value = self.eval(point);
+        }
     }
 
     /// Human-readable name used in benchmark and experiment output.
@@ -34,32 +53,6 @@ pub trait Integrand: Sync {
     /// domain of every integrand in the paper's test suite.
     fn default_bounds(&self) -> (Vec<f64>, Vec<f64>) {
         (vec![0.0; self.dim()], vec![1.0; self.dim()])
-    }
-}
-
-/// The default [`Integrand::eval_batch`]: gather each point of the axis-major
-/// `xs` into a stack buffer and call [`Integrand::eval`] on it, in point order.
-/// Overrides that batch only some of their cases call this for the rest.
-pub fn eval_pointwise<F: Integrand + ?Sized>(f: &F, xs: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    let dim = xs.len() / n;
-    debug_assert_eq!(xs.len(), dim * n, "xs must hold dim * out.len() values");
-    let mut stack = [0.0f64; 32];
-    let mut heap = Vec::new();
-    let point = if dim <= stack.len() {
-        &mut stack[..dim]
-    } else {
-        heap.resize(dim, 0.0);
-        &mut heap[..]
-    };
-    for (p, value) in out.iter_mut().enumerate() {
-        for (axis, x) in point.iter_mut().enumerate() {
-            *x = xs[axis * n + p];
-        }
-        *value = f.eval(point);
     }
 }
 

@@ -29,7 +29,7 @@ pub mod result;
 pub mod two_level;
 
 pub use genz_malik::{with_thread_scratch, EvalScratch, GenzMalik, RuleEstimate};
-pub use integrand::{eval_pointwise, FnIntegrand, Integrand};
+pub use integrand::{FnIntegrand, Integrand};
 pub use region::Region;
 pub use result::{
     paper_tolerance_sweep, rel_tol_for_digits, IntegrationResult, Termination, Tolerances,

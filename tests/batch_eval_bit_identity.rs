@@ -1,12 +1,13 @@
 //! Bit identity of batched integrand evaluation.
 //!
 //! `Integrand::eval_batch` must be pointwise bit-equal to `Integrand::eval`,
-//! and the table-driven `GenzMalik::evaluate_centered` must reproduce the
+//! and the batched `GenzMalik::evaluate_centered` must reproduce the
 //! point-by-point rule it replaced: same integral and error bits, same split
 //! axis, same evaluation count.  The reference rule below is a verbatim copy
 //! of that point-by-point implementation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use pagani::integrands::genz::{GenzFamily, GenzIntegrand};
 use pagani::prelude::*;
@@ -200,6 +201,33 @@ fn batch_of_nothing_writes_nothing() {
     }
 }
 
+/// Above ten dimensions the corner orbit goes to the integrand in several
+/// batches; the sum over them must still be the point-by-point sum.
+#[test]
+fn chunked_corner_orbit_matches_point_by_point_rule() {
+    for dim in [11, 13] {
+        let rule = GenzMalik::new(dim);
+        let mut scratch = EvalScratch::new(dim);
+        let center: Vec<f64> = (0..dim).map(|i| 0.3 + 0.03 * i as f64).collect();
+        let halfwidth: Vec<f64> = (0..dim).map(|i| 0.05 + 0.01 * i as f64).collect();
+        for f in [
+            PaperIntegrand::f1(dim),
+            PaperIntegrand::f3(dim),
+            PaperIntegrand::f4(dim),
+            PaperIntegrand::f5(dim),
+            PaperIntegrand::f7(dim),
+            PaperIntegrand::f8(dim),
+        ] {
+            let want = reference_rule(&f, &center, &halfwidth);
+            let got = rule.evaluate_centered(&f, &center, &halfwidth, &mut scratch);
+            assert_same_estimate(got, want, &f.label()).unwrap();
+            let dynamic: &dyn Integrand = &f;
+            let got = rule.evaluate_centered(dynamic, &center, &halfwidth, &mut scratch);
+            assert_same_estimate(got, want, &f.label()).unwrap();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -243,7 +271,23 @@ proptest! {
         }
     }
 
-    /// The table-driven rule reproduces the point-by-point rule on random
+    /// f3's batch raises to a constant exponent for dims 2–8 and to a
+    /// runtime one otherwise; both must match `eval` at every dimension f3
+    /// supports.
+    #[test]
+    fn prop_f3_batch_is_bit_equal_at_every_dimension(
+        seeds in proptest::collection::vec(0u64..u64::MAX, 20..400),
+    ) {
+        // Built once: f3's constructor sums 2^d terms for its reference value.
+        static F3: OnceLock<Vec<PaperIntegrand>> = OnceLock::new();
+        for f in F3.get_or_init(|| (1..=20).map(PaperIntegrand::f3).collect()) {
+            let dim = f.dim();
+            let (xs, n) = axis_major_points(dim, &seeds[..seeds.len() / 20 * dim]);
+            assert_batch_matches_eval(f, &xs, n)?;
+        }
+    }
+
+    /// The batched rule reproduces the point-by-point rule on random
     /// regions, through the concrete type, `&dyn Integrand` and a closure.
     #[test]
     fn prop_batched_rule_matches_point_by_point_rule(
